@@ -11,10 +11,12 @@
 
    Gene decoding is total: any int is reduced mod 3, so random mutation
    never produces an invalid script. Genomes cycle once exhausted; the
-   empty genome behaves as all-zeroes. The scripted space covers the
-   named adversaries of Byz_sticky/Byz_verifiable that matter for
-   safety: all-zero replies is a naysayer, all-one a false witness,
-   all-two an honest-but-slow helper, and mixed genes express the
+   empty genome behaves as all-zeroes. The interpreter (Byz_script_core)
+   is a policy over the same Byz_core responder as the named strategies
+   of Byz_sticky/Byz_verifiable, and two of those are genomes access for
+   access: [0] is the naysayer and [1] the false witness (on the
+   verifiable register, at a reader's pid). [2] is an
+   honest-but-slow helper, and mixed genes express the
    support-then-retract colluders behind the weakened-quorum attacks. *)
 
 open Lnd_support

@@ -1,8 +1,8 @@
 (** Genome-scripted Byzantine adversaries as pure state machines.
 
     The genome interpreter (see {!Byz_script} for the gene layout) as
-    resumable Machine programs over the sticky / verifiable register
-    names. {!Byz_script} spawns these on the simulator; [Lnd_parallel]
+    policies over the {!Byz_core} responder, on the sticky / verifiable
+    register names. {!Byz_script} spawns these on the simulator; [Lnd_parallel]
     runs the same genomes on OCaml 5 domains, so a scripted adversary
     misbehaves identically — access for access — on both backends. *)
 

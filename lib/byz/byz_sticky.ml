@@ -1,149 +1,124 @@
-(* Byzantine strategies against the sticky register (Algorithm 2). *)
+(* Byzantine strategies against the sticky register (Algorithm 2).
+
+   Each strategy is a Byz_core responder policy — a pure program that
+   writes only registers its pid owns — run on the simulator as a daemon
+   fiber. *)
 
 open Lnd_support
 open Lnd_runtime
 open Lnd_sticky.Sticky
+open Lnd_sticky.Sticky_core
+open Machine
 
-let vopt v = Univ.inj Codecs.value_opt v
-let stamped u c = Univ.inj Codecs.vopt_stamped (u, c)
+let[@lnd.pure] responder ~n = Byz_core.responder Byz_core.sticky ~n
 
-(* Responder answering askers with [payload]. *)
-let responder (regs : regs) ~pid
-    ~(payload : asker:int -> round:int -> Value.t option)
-    ?(each_round = fun () -> ()) () : unit =
-  let n = regs.cfg.n in
-  let prev = Array.make n 0 in
-  while true do
-    each_round ();
-    let answered = ref false in
-    for k = 1 to n - 1 do
-      if k <> pid then begin
-        let ck =
-          Univ.prj_default Codecs.counter ~default:0 (Cell.read regs.c.(k))
-        in
-        if ck > prev.(k) then begin
-          Cell.write regs.rjk.(pid).(k) (stamped (payload ~asker:k ~round:ck) ck);
-          prev.(k) <- ck;
-          answered := true
-        end
-      end
-    done;
-    if not !answered then Sched.yield ()
-  done
+(* A policy with no state of its own: the same claim every round. *)
+let[@lnd.pure] stateless ~n ~pid ?start claim =
+  responder ~n ~pid ?start () ~reply:(fun () ~asker ~ck ->
+      ret ((), enc_stamped (claim ~asker) ck))
+
+let[@lnd.pure] claim_both pid v =
+  let* () = write (E pid) (enc_vopt v) in
+  write (R pid) (enc_vopt v)
+
+(* Round counting for the writers that change posture once: the state
+   is the number of rounds begun, and [act] runs on round [at]. *)
+let[@lnd.pure] on_round ~at act rounds =
+  let rounds = rounds + 1 in
+  if rounds = at then
+    let* () = act in
+    ret rounds
+  else ret rounds
+
+let spawn sched (regs : regs) ~pid ~name prog : Sched.fiber =
+  Sched.spawn sched ~pid ~name ~daemon:true (fun () ->
+      Drive.run ~cell:(cell_of regs) (prog ~n:regs.cfg.n))
 
 (* The equivocating Byzantine WRITER: writes [va] into its echo register,
-   waits a few of its own steps, then overwrites it with [vb], claiming
+   waits a few of its own rounds, then overwrites it with [vb], claiming
    both values to different askers. Uniqueness (Observation 18) must
    survive: correct readers never return two different non-⊥ values. *)
-let spawn_equivocating_writer sched (regs : regs) ~(va : Value.t)
-    ~(vb : Value.t) ?(flip_after = 3) () : Sched.fiber =
-  Sched.spawn sched ~pid:0 ~name:"byz-equivocating-writer" ~daemon:true
-    (fun () ->
-      Cell.write regs.e.(0) (vopt (Some va));
-      Cell.write regs.r.(0) (vopt (Some va));
-      let rounds = ref 0 in
-      responder regs ~pid:0
-        ~payload:(fun ~asker ~round:_ ->
-          if asker mod 2 = 0 then Some va else Some vb)
-        ~each_round:(fun () ->
-          incr rounds;
-          if !rounds = flip_after then begin
-            Cell.write regs.e.(0) (vopt (Some vb));
-            Cell.write regs.r.(0) (vopt (Some vb))
-          end)
-        ())
+let[@lnd.pure] equivocating_writer ~va ~vb ~flip_after ~n =
+  responder ~n ~pid:0
+    ~start:(claim_both 0 (Some va))
+    ~step:(on_round ~at:flip_after (claim_both 0 (Some vb)))
+    0
+    ~reply:(fun rounds ~asker ~ck ->
+      ret (rounds, enc_stamped (Some (if asker mod 2 = 0 then va else vb)) ck))
+
+let spawn_equivocating_writer sched regs ~va ~vb ?(flip_after = 3) () =
+  spawn sched regs ~pid:0 ~name:"byz-equivocating-writer"
+    (equivocating_writer ~va ~vb ~flip_after)
 
 (* A writer that writes, lets the system settle, then erases its echo
    register and pretends it never wrote ("deny"). Stickiness must keep the
    value alive among the correct processes. *)
-let spawn_denying_writer sched (regs : regs) ~(v : Value.t)
-    ?(deny_after = 4) () : Sched.fiber =
-  Sched.spawn sched ~pid:0 ~name:"byz-denying-writer" ~daemon:true (fun () ->
-      Cell.write regs.e.(0) (vopt (Some v));
-      Cell.write regs.r.(0) (vopt (Some v));
-      let rounds = ref 0 in
-      let denied = ref false in
-      responder regs ~pid:0
-        ~payload:(fun ~asker:_ ~round:_ -> if !denied then None else Some v)
-        ~each_round:(fun () ->
-          incr rounds;
-          if (not !denied) && !rounds >= deny_after then begin
-            denied := true;
-            Cell.write regs.e.(0) (vopt None);
-            Cell.write regs.r.(0) (vopt None)
-          end)
-        ())
+let[@lnd.pure] denying_writer ~v ~deny_after ~n =
+  let at = max 1 deny_after in
+  responder ~n ~pid:0
+    ~start:(claim_both 0 (Some v))
+    ~step:(on_round ~at (claim_both 0 None))
+    0
+    ~reply:(fun rounds ~asker:_ ~ck ->
+      ret (rounds, enc_stamped (if rounds >= at then None else Some v) ck))
+
+let spawn_denying_writer sched regs ~v ?(deny_after = 4) () =
+  spawn sched regs ~pid:0 ~name:"byz-denying-writer"
+    (denying_writer ~v ~deny_after)
 
 (* A colluder that claims to witness [v] nobody echoed. *)
-let spawn_false_witness sched (regs : regs) ~pid ~(v : Value.t) : Sched.fiber =
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-falsewitness%d" pid)
-    ~daemon:true (fun () ->
-      Cell.write regs.e.(pid) (vopt (Some v));
-      Cell.write regs.r.(pid) (vopt (Some v));
-      responder regs ~pid ~payload:(fun ~asker:_ ~round:_ -> Some v) ())
+let spawn_false_witness sched regs ~pid ~v =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-falsewitness%d" pid)
+    (stateless ~pid ~start:(claim_both pid (Some v)) (fun ~asker:_ -> Some v))
 
 (* A colluder that answers ⊥ forever, instantly (pressures readers toward
    returning ⊥). *)
-let spawn_naysayer sched (regs : regs) ~pid : Sched.fiber =
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-naysayer%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid ~payload:(fun ~asker:_ ~round:_ -> None) ())
+let spawn_naysayer sched regs ~pid =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-naysayer%d" pid)
+    (stateless ~pid (fun ~asker:_ -> None))
 
 (* A colluder whose claim flips on every reply. *)
-let spawn_flipflop sched (regs : regs) ~pid ~(v : Value.t) : Sched.fiber =
-  let count = ref 0 in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-flipflop%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid
-        ~payload:(fun ~asker:_ ~round:_ ->
-          incr count;
-          if !count mod 2 = 0 then Some v else None)
-        ())
+let[@lnd.pure] flipflop ~pid ~v ~n =
+  responder ~n ~pid 0 ~reply:(fun count ~asker:_ ~ck ->
+      let count = count + 1 in
+      ret (count, enc_stamped (if count mod 2 = 0 then Some v else None) ck))
 
-(* Ill-typed garbage everywhere. *)
-let spawn_garbage sched (regs : regs) ~pid : Sched.fiber =
-  let n = regs.cfg.n in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-garbage%d" pid)
-    ~daemon:true (fun () ->
-      Cell.write regs.e.(pid) (Univ.inj Univ.garbage "junk");
-      Cell.write regs.r.(pid) (Univ.inj Univ.garbage "junk");
-      let prev = Array.make n 0 in
-      while true do
-        let answered = ref false in
-        for k = 1 to n - 1 do
-          if k <> pid then begin
-            let ck =
-              Univ.prj_default Codecs.counter ~default:0
-                (Cell.read regs.c.(k))
-            in
-            if ck > prev.(k) then begin
-              if ck mod 2 = 0 then
-                Cell.write regs.rjk.(pid).(k) (Univ.inj Univ.garbage "junk")
-              else Cell.write regs.rjk.(pid).(k) (stamped None ck);
-              prev.(k) <- ck;
-              answered := true
-            end
-          end
-        done;
-        if not !answered then Sched.yield ()
-      done)
+let spawn_flipflop sched regs ~pid ~v =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-flipflop%d" pid)
+    (flipflop ~pid ~v)
+
+(* Ill-typed garbage everywhere it owns; replies alternate between
+   garbage and a well-typed ⊥ carrying the fresh stamp. *)
+let[@lnd.pure] garbage ~pid ~n =
+  let junk = Univ.inj Univ.garbage "junk" in
+  responder ~n ~pid
+    ~start:
+      (let* () = write (E pid) junk in
+       write (R pid) junk)
+    ()
+    ~reply:(fun () ~asker:_ ~ck ->
+      ret ((), if ck mod 2 = 0 then junk else enc_stamped None ck))
+
+let spawn_garbage sched regs ~pid =
+  spawn sched regs ~pid ~name:(Printf.sprintf "byz-garbage%d" pid) (garbage ~pid)
 
 (* A colluder that replays its FIRST observation of the writer's echo
    register forever, with fresh timestamps — stale evidence against the
    freshness handshake. *)
-let spawn_stale_replayer sched (regs : regs) ~pid : Sched.fiber =
-  let frozen = ref None in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-stale%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid
-        ~payload:(fun ~asker:_ ~round:_ ->
-          match !frozen with
-          | Some u -> u
-          | None ->
-              let u =
-                Univ.prj_default Codecs.value_opt ~default:None
-                  (Cell.read regs.e.(0))
-              in
-              frozen := Some u;
-              u)
-        ())
+let[@lnd.pure] stale_replayer ~pid ~n =
+  responder ~n ~pid None ~reply:(fun frozen ~asker:_ ~ck ->
+      let* u =
+        match frozen with
+        | Some u -> ret u
+        | None ->
+            let* e0 = read (E 0) in
+            ret (dec_vopt e0)
+      in
+      ret (Some u, enc_stamped u ck))
+
+let spawn_stale_replayer sched regs ~pid =
+  spawn sched regs ~pid ~name:(Printf.sprintf "byz-stale%d" pid)
+    (stale_replayer ~pid)

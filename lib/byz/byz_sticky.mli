@@ -1,20 +1,12 @@
 (** Byzantine strategies against the sticky register (Algorithm 2).
     See [Byz_verifiable] for the ground rules — the register space gives
-    these adversaries exactly the model's Byzantine power. *)
+    these adversaries exactly the model's Byzantine power. Every
+    strategy is a {!Byz_core} responder policy spawned as a daemon
+    fiber. *)
 
 open Lnd_support
 open Lnd_runtime
 open Lnd_sticky.Sticky
-
-val responder :
-  regs ->
-  pid:int ->
-  payload:(asker:int -> round:int -> Value.t option) ->
-  ?each_round:(unit -> unit) ->
-  unit ->
-  unit
-(** Answer askers through R_pid,k with whatever claim [payload]
-    fabricates; runs forever. *)
 
 val spawn_equivocating_writer :
   Sched.t ->

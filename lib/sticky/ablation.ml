@@ -1,71 +1,44 @@
-(* Ablations for Algorithm 2, straight from the Section 7.1 prose.
+(* Ablations for Algorithm 2, straight from the Section 7.1 prose. Both
+   are Algorithm 2's own programs with one part taken out.
 
    1. [write_nowait] — the paper asks: "a reader may wonder why, to write
       a value v, the writer has to wait for n-f witnesses of v before
       returning done ... It turns out that without this wait, a process
       may invoke a READ after a WRITE(v) completes and get back ⊥."
-      This variant returns done immediately after writing E_1; the test
-      suite exhibits exactly that validity violation.
+      This variant is WRITE's lines 1-2 alone: it returns done right
+      after writing E_1; the test suite exhibits exactly that validity
+      violation.
 
    2. [help_lax] — Algorithm 2 uses a *stricter* witness policy than
       Algorithm 1: a process echoes first and witnesses only after n-f
       echoes, because "the stricter policy ... prevents correct processes
-      from becoming witnesses for different values". This variant adopts
-      Algorithm 1's lax policy (witness a value as soon as it is seen in
-      the writer's register). The test suite shows an equivocating
-      Byzantine writer splitting the correct witnesses between two values,
-      which leaves READ unable to assemble an n-f quorum. *)
+      from becoming witnesses for different values". This variant is Help
+      with Algorithm 1's lax policy as its witness step (witness a value
+      as soon as it is seen in the writer's register) and without lines
+      34-36. The test suite shows an equivocating Byzantine writer
+      splitting the correct witnesses between two values, which leaves
+      READ unable to assemble an n-f quorum. *)
 
 open Lnd_support
 open Lnd_runtime
+open Machine
 
-let read_vopt reg = Univ.prj_default Codecs.value_opt ~default:None (Cell.read reg)
-let read_counter reg = Univ.prj_default Codecs.counter ~default:0 (Cell.read reg)
+let[@lnd.pure] nowait_prog (v : Value.t) : (Sticky_core.reg, unit) prog =
+  let* _wrote = Sticky_core.announce v in
+  ret ()
 
-(* WRITE without the lines 3-5 witness wait. *)
+(* The lax witness step: adopt the writer's current value on sight. *)
+let[@lnd.pure] help_lax_prog ~n ~pid : (Sticky_core.reg, unit) prog =
+  Sticky_core.help_with ~n ~pid
+    ~witness:
+      (Sticky_core.adopt ~pid
+         (let* e0 = read (Sticky_core.E 0) in
+          ret (Sticky_core.dec_vopt e0)))
+    ~amplify:(ret ())
+
 let write_nowait (w : Sticky.writer) (v : Value.t) : unit =
-  let rg = w.Sticky.w_regs in
-  if read_vopt rg.Sticky.e.(0) = None then
-    Cell.write rg.Sticky.e.(0) (Univ.inj Codecs.value_opt (Some v))
+  Drive.run ~cell:(Sticky.cell_of w.Sticky.w_regs) (nowait_prog v)
 
-(* Help with the LAX witness policy: copy whatever the writer's echo
-   register currently shows straight into the witness register. The
-   asker-answering machinery is unchanged. *)
 let help_lax (rg : Sticky.regs) ~pid : unit =
-  let { Sticky.n; f = _ } = rg.Sticky.cfg in
-  let prev_c = Array.make n 0 in
-  while true do
-    (* echo (same as Algorithm 2) *)
-    if read_vopt rg.Sticky.e.(pid) = None then begin
-      let e1 = read_vopt rg.Sticky.e.(0) in
-      match e1 with
-      | Some _ -> Cell.write rg.Sticky.e.(pid) (Univ.inj Codecs.value_opt e1)
-      | None -> ()
-    end;
-    (* LAX adoption: witness the writer's current value directly, no
-       echo quorum *)
-    if read_vopt rg.Sticky.r.(pid) = None then begin
-      match read_vopt rg.Sticky.e.(0) with
-      | Some v ->
-          Cell.write rg.Sticky.r.(pid) (Univ.inj Codecs.value_opt (Some v))
-      | None -> ()
-    end;
-    let cks = Array.make n 0 in
-    for k = 1 to n - 1 do
-      cks.(k) <- read_counter rg.Sticky.c.(k)
-    done;
-    let askers = ref [] in
-    for k = n - 1 downto 1 do
-      if cks.(k) > prev_c.(k) then askers := k :: !askers
-    done;
-    if !askers <> [] then begin
-      let rj = read_vopt rg.Sticky.r.(pid) in
-      List.iter
-        (fun k ->
-          Cell.write rg.Sticky.rjk.(pid).(k)
-            (Univ.inj Codecs.vopt_stamped (rj, cks.(k)));
-          prev_c.(k) <- cks.(k))
-        !askers
-    end
-    else Sched.yield ()
-  done
+  Drive.run ~cell:(Sticky.cell_of rg)
+    (help_lax_prog ~n:rg.Sticky.cfg.Sticky.n ~pid)

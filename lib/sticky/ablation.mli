@@ -1,6 +1,7 @@
 (** Ablations for Algorithm 2, straight from the Section 7.1 prose.
-    Both variants exhibit their predicted failures in test suite A2/A3
-    and bench table T8. *)
+    Each is one of {!Sticky_core}'s programs with a part taken out, run
+    by {!Lnd_runtime.Drive}. Both variants exhibit their predicted
+    failures in test suite A2/A3 and bench table T8. *)
 
 open Lnd_support
 

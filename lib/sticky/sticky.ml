@@ -77,8 +77,6 @@ let alloc_with (mk : Cell.allocator) (cfg : config) : regs =
 
 let alloc space (cfg : config) : regs = alloc_with (Cell.shm_allocator space) cfg
 
-let value_with_quorum = Sticky_core.value_with_quorum
-
 (* Map the core's abstract register names onto this layout (shared by
    every sim-side driver of Sticky_core programs, including the scripted
    adversaries in Lnd_byz). *)

@@ -35,10 +35,6 @@ val alloc_with : Cell.allocator -> config -> regs
 
 val alloc : Lnd_shm.Space.t -> config -> regs
 
-val value_with_quorum : Value.t option array -> threshold:int -> Value.t option
-(** The (unique, by quorum-intersection counting) value reaching
-    [threshold] copies, if any. Exposed for the ablation variants. *)
-
 val cell_of : regs -> Sticky_core.reg -> Cell.t
 (** Map the pure core's abstract register names onto this layout (used
     by every driver that runs {!Sticky_core} programs over these

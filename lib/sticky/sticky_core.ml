@@ -64,13 +64,20 @@ let[@lnd.pure] read_all ~n (mk : int -> reg) (dec : Univ.t -> 'b) :
 
 (* ---------------- Writer (p0): WRITE(v), lines 1-6 ---------------- *)
 
+(* Lines 1-2: write E_0 unless it already holds a value; says whether it
+   wrote. *)
+let[@lnd.pure] announce (v : Value.t) : (reg, bool) prog =
+  let* e0 = read (E 0) in
+  if dec_vopt e0 <> None then ret false
+  else
+    let* () = write (E 0) (enc_vopt (Some v)) in
+    ret true
+
 let[@lnd.pure] write_prog ~n ~(q : Quorum.t) (v : Value.t) : (reg, unit) prog =
   (* line 1: a second write is a no-op returning done *)
-  let* e0 = read (E 0) in
-  if dec_vopt e0 <> None then ret ()
+  let* fresh = announce v in
+  if not fresh then ret ()
   else
-    (* line 2 *)
-    let* () = write (E 0) (enc_vopt (Some v)) in
     (* lines 3-5: wait until n-f processes witness v; yield between
        poll passes — the wait is a voluntary scheduling point *)
     let rec wait () =
@@ -142,31 +149,44 @@ let[@lnd.pure] read_prog ~n ~(q : Quorum.t) ~pid ~ck :
 
 (* ---------------- Help() — lines 23-40 ---------------- *)
 
-(* Runs forever (the program never returns); [prev] — the last counter
+(* Lines 25-27: echo the writer's value, once. *)
+let[@lnd.pure] echo ~pid : (reg, unit) prog =
+  let* e_pid = read (E pid) in
+  if dec_vopt e_pid <> None then ret ()
+  else
+    let* e1 = read (E 0) in
+    match dec_vopt e1 with
+    | Some _ as u -> write (E pid) (enc_vopt u)
+    | None -> ret ()
+
+(* The witness step (lines 28-30 and 34-36): while R_pid is still ⊥,
+   adopt whatever value [pick] finds. *)
+let[@lnd.pure] adopt ~pid (pick : (reg, Value.t option) prog) :
+    (reg, unit) prog =
+  let* r_pid = read (R pid) in
+  if dec_vopt r_pid <> None then ret ()
+  else
+    let* found = pick in
+    match found with
+    | Some v -> write (R pid) (enc_vopt (Some v))
+    | None -> ret ()
+
+(* The value reaching [threshold] copies among [mk 0 .. mk (n-1)]. *)
+let[@lnd.pure] quorum_value ~n (mk : int -> reg) ~threshold :
+    (reg, Value.t option) prog =
+  let* vs = read_all ~n mk dec_vopt in
+  ret (value_with_quorum vs ~threshold)
+
+(* Help's loop with its two witness steps as parameters: [witness] runs
+   every round after the echo, [amplify] only in rounds serving askers.
+   Runs forever (the program never returns); [prev] — the last counter
    value served per asker — is threaded functionally. *)
-let[@lnd.pure] help_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog =
+let[@lnd.pure] help_with ~n ~pid ~(witness : (reg, unit) prog)
+    ~(amplify : (reg, unit) prog) : (reg, unit) prog =
   let rec round (prev : int PidMap.t) =
     let prev_of k = match PidMap.find_opt k prev with Some c -> c | None -> 0 in
-    (* lines 25-27: echo the writer's value, once *)
-    let* () =
-      let* e_pid = read (E pid) in
-      if dec_vopt e_pid <> None then ret ()
-      else
-        let* e1 = read (E 0) in
-        match dec_vopt e1 with
-        | Some _ as u -> write (E pid) (enc_vopt u)
-        | None -> ret ()
-    in
-    (* lines 28-30: become a witness of a value echoed by n-f processes *)
-    let* () =
-      let* r_pid = read (R pid) in
-      if dec_vopt r_pid <> None then ret ()
-      else
-        let* es = read_all ~n (fun i -> E i) dec_vopt in
-        match value_with_quorum es ~threshold:(Quorum.availability q) with
-        | Some v -> write (R pid) (enc_vopt (Some v))
-        | None -> ret ()
-    in
+    let* () = echo ~pid in
+    let* () = witness in
     (* lines 31-32 *)
     let rec counters k acc =
       if k >= n then ret (List.rev acc)
@@ -178,16 +198,7 @@ let[@lnd.pure] help_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog =
     let askers = List.filter (fun (k, ck) -> ck > prev_of k) cks in
     if askers <> [] then
       let* () = note (Serving (List.map fst askers)) in
-      (* lines 34-36: become a witness of a value with f+1 witnesses *)
-      let* () =
-        let* r_pid = read (R pid) in
-        if dec_vopt r_pid <> None then ret ()
-        else
-          let* rs = read_all ~n (fun i -> R i) dec_vopt in
-          match value_with_quorum rs ~threshold:(Quorum.one_correct q) with
-          | Some v -> write (R pid) (enc_vopt (Some v))
-          | None -> ret ()
-      in
+      let* () = amplify in
       (* line 37 *)
       let* rj_u = read (R pid) in
       let rj = dec_vopt rj_u in
@@ -209,3 +220,14 @@ let[@lnd.pure] help_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog =
       round prev
   in
   round PidMap.empty
+
+let[@lnd.pure] help_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog =
+  help_with ~n ~pid
+    (* lines 28-30: become a witness of a value echoed by n-f processes *)
+    ~witness:
+      (adopt ~pid
+         (quorum_value ~n (fun i -> E i) ~threshold:(Quorum.availability q)))
+    (* lines 34-36: become a witness of a value with f+1 witnesses *)
+    ~amplify:
+      (adopt ~pid
+         (quorum_value ~n (fun i -> R i) ~threshold:(Quorum.one_correct q)))

@@ -8,36 +8,28 @@
    votes is stuck, because answering either way can break the relay
    property (Observation 13).
 
-   [naive_verify] implements that strawman directly over the witness
-   registers: collect the current witness sets of the first 2f+1
-   processes (one snapshot, no rounds, no set_1/set_0 bookkeeping) and
-   return yes-count >= f+1. It terminates always — but the test suite
-   demonstrates a schedule where it returns TRUE and a later
-   [naive_verify] returns FALSE for the same value: the relay violation
-   Algorithm 1 exists to prevent. *)
+   [naive_verify_all] implements that strawman directly over the witness
+   registers: one pass over every R_j (no rounds, no set_1/set_0
+   bookkeeping), then yes-count >= f+1. It always terminates — but the
+   test suite demonstrates a schedule where it returns TRUE and a later
+   call returns FALSE for the same value: the relay violation Algorithm 1
+   exists to prevent. *)
 
 open Lnd_support
 open Lnd_runtime
+open Machine
 
-let read_vset reg =
-  Univ.prj_default Codecs.vset ~default:Value.Set.empty (Cell.read reg)
+let[@lnd.pure] naive_verify_prog ~(q : Quorum.t) (v : Value.t) :
+    (Verifiable_core.reg, bool) prog =
+  let* sets =
+    Verifiable_core.read_all ~n:(Quorum.n q)
+      (fun j -> Verifiable_core.R j)
+      Verifiable_core.dec_vset
+  in
+  let yes =
+    Array.fold_left (fun c s -> if Value.Set.mem v s then c + 1 else c) 0 sets
+  in
+  ret (Quorum.has_one_correct q yes)
 
-(* One-shot strawman verify, runnable by any process. *)
-let naive_verify (rg : Verifiable.regs) (v : Value.t) : bool =
-  let q = rg.Verifiable.q in
-  let replies = min (Quorum.n q) (Quorum.byz_quorum q) in
-  let yes = ref 0 in
-  for j = 0 to replies - 1 do
-    if Value.Set.mem v (read_vset rg.r.(j)) then incr yes
-  done;
-  Quorum.has_one_correct q !yes
-
-(* A one-shot naive verify that polls every register (a seemingly
-   stronger strawman — same flaw). *)
 let naive_verify_all (rg : Verifiable.regs) (v : Value.t) : bool =
-  let q = rg.Verifiable.q in
-  let yes = ref 0 in
-  for j = 0 to Quorum.n q - 1 do
-    if Value.Set.mem v (read_vset rg.r.(j)) then incr yes
-  done;
-  Quorum.has_one_correct q !yes
+  Drive.run ~cell:(Verifiable.cell_of rg) (naive_verify_prog ~q:rg.Verifiable.q v)

@@ -25,6 +25,11 @@ val enc_vset : Value.Set.t -> Univ.t
 val enc_stamped : Value.Set.t -> int -> Univ.t
 val enc_counter : int -> Univ.t
 
+val read_all :
+  n:int -> (int -> reg) -> (Univ.t -> 'b) -> (reg, 'b array) Machine.prog
+(** Read registers [mk 0 .. mk (n-1)] in ascending order, decoding
+    each. *)
+
 (** {2 The protocol programs} *)
 
 val write_prog : Value.t -> (reg, unit) Machine.prog

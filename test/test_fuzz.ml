@@ -3,6 +3,8 @@
    message names the exact reproducer. *)
 
 module Fuzz = Lnd_fuzz.Fuzz
+module Obs = Lnd_obs.Obs
+module Trace = Lnd_obs.Trace
 
 let run_range ~from ~count () =
   for seed = from to from + count - 1 do
@@ -38,8 +40,46 @@ let test_determinism () =
     "generation deterministic" true
     (Fuzz.generate 12345 = Fuzz.generate 12345)
 
+(* Access-level golden: one line per seed — the scenario plus the MD5 of
+   its full JSONL trace, which holds every register access with its value,
+   every spawn and every switch. Step counts alone cannot see two accesses
+   swap places; this table can. On a mismatch the fresh table is printed
+   whole, so regenerating the fixture is a copy of the failure output. *)
+let digest_path = "fixtures/fuzz/trace_md5.txt"
+
+let digest_line seed =
+  let scenario = Fuzz.generate seed in
+  let tr = Trace.create () in
+  Obs.install (Trace.sink tr);
+  let verdict =
+    Fun.protect ~finally:Obs.uninstall (fun () ->
+        match Fuzz.run scenario with Ok _ -> "ok" | Error m -> "FAIL " ^ m)
+  in
+  Trace.finish tr;
+  if Trace.dropped tr > 0 then
+    Alcotest.failf "seed %d: trace dropped %d events" seed (Trace.dropped tr);
+  Printf.sprintf "%s %s %s"
+    (Format.asprintf "%a" Fuzz.pp_scenario scenario)
+    (Digest.to_hex (Digest.string (Trace.to_jsonl tr)))
+    verdict
+
+let test_trace_digests () =
+  let fresh = List.init 240 digest_line in
+  let expected =
+    In_channel.with_open_text digest_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  if fresh <> expected then
+    Alcotest.failf
+      "fuzz traces drifted from %s; fresh table (copy it there if the new \
+       access order is intended):\n%s"
+      digest_path
+      (String.concat "\n" fresh)
+
 let tests =
   [
+    Alcotest.test_case "trace digests, seeds 0-239" `Quick test_trace_digests;
     Alcotest.test_case "generator coverage" `Quick test_generator_coverage;
     Alcotest.test_case "generator determinism" `Quick test_determinism;
     Alcotest.test_case "seeds 0-39" `Quick (run_range ~from:0 ~count:40);

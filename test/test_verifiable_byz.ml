@@ -290,6 +290,44 @@ let test_reader_crash_mid_verify ~seed () =
 
 let seeds = [ 101; 202; 303 ]
 
+(* Two named strategies are genomes: the naysayer is [0] and the false
+   witness is [1] (see Lnd_byz.Byz_script). Both are Byz_core responder
+   policies, so the same seed must give the same register accesses, value
+   for value, and the same history. *)
+let accesses_with ~seed spawn =
+  let t = Sys.make ~policy:(Policy.random ~seed) ~byzantine:[ 3 ] ~n:4 ~f:1 () in
+  let log = ref [] in
+  Lnd_shm.Space.set_observer t.space
+    (Some (fun a -> log := Format.asprintf "%a" Lnd_shm.Space.pp_access a :: !log));
+  ignore (spawn t);
+  ignore
+    (Sys.client t ~pid:0 ~name:"w" (fun () ->
+         Sys.op_write t "a";
+         ignore (Sys.op_sign t "a")));
+  for pid = 1 to 2 do
+    ignore
+      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
+           ignore (Sys.op_verify t ~pid "a");
+           ignore (Sys.op_verify t ~pid "x")))
+  done;
+  run_ok t;
+  ( List.rev !log,
+    Format.asprintf "%a" (History.pp ~pp_op:V.pp_op ~pp_res:V.pp_res) t.history )
+
+let test_named_is_genome ~genome spawn () =
+  List.iter
+    (fun seed ->
+      let named = accesses_with ~seed spawn in
+      let scripted =
+        accesses_with ~seed (fun (t : Sys.t) ->
+            Lnd_byz.Byz_script.spawn_verifiable t.sched t.regs
+              (Lnd_byz.Byz_script.make ~pid:3 ~genome ~value:"x"))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: same accesses and history" seed)
+        true (named = scripted))
+    [ 1; 2; 3 ]
+
 let tests =
   List.concat
     [
@@ -309,6 +347,12 @@ let tests =
           (test_validity_vs_naysayers ~n:4 ~f:1 ~seed:21);
         Alcotest.test_case "validity vs naysayers n=7" `Quick
           (test_validity_vs_naysayers ~n:7 ~f:2 ~seed:22);
+        Alcotest.test_case "naysayer = genome [0]" `Quick
+          (test_named_is_genome ~genome:[ 0 ] (fun t ->
+               Byz.spawn_naysayer t.sched t.regs ~pid:3));
+        Alcotest.test_case "false witness = genome [1]" `Quick
+          (test_named_is_genome ~genome:[ 1 ] (fun t ->
+               Byz.spawn_false_witness t.sched t.regs ~pid:3 ~v:"x"));
       ];
       List.map
         (fun s ->
