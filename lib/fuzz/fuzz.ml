@@ -12,7 +12,8 @@ open Lnd_support
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module History = Lnd_history.History
-module Monitors = Lnd_history.Monitors
+module Verdict = Lnd_history.Verdict
+module Diff = Lnd_parallel.Diff
 
 type target = Verifiable | Sticky
 
@@ -100,8 +101,6 @@ type report = {
 
 type outcome = (report, string) result
 
-let value_pool = [| "a"; "b"; "c" |]
-
 (* Which pids are Byzantine for this scenario. *)
 let byzantine_pids (s : scenario) : int list =
   match s.adversary with
@@ -111,11 +110,19 @@ let byzantine_pids (s : scenario) : int list =
   | Stale_replayers | Selective ->
       List.init s.f (fun i -> s.n - 1 - i)
 
-let max_steps = 8_000_000
-
-(* Cap for the exhaustive linearizability search: histories with more
-   operations are checked by the monitors only. *)
-let byzlin_op_cap = 14
+(* Run to quiescence and judge the history; [Monitors_only] (too large
+   for the exhaustive search) reports linearizability as unchecked. *)
+let conclude (s : scenario) sched ~correct history verdict : outcome =
+  Diff.settle ~correct sched (fun () ->
+      Result.map
+        (fun v ->
+          {
+            scenario = s;
+            steps = Sched.steps sched;
+            operations = List.length (History.complete_entries history);
+            checked_linearizability = v = Verdict.Linearizable;
+          })
+        (verdict ~correct:(fun pid -> correct.(pid)) history))
 
 let run_verifiable (s : scenario) (rng : Rng.t) : outcome =
   let module Sys = Lnd_verifiable.System in
@@ -163,20 +170,18 @@ let run_verifiable (s : scenario) (rng : Rng.t) : outcome =
     ignore
       (Sys.client t ~pid:0 ~name:"writer" (fun () ->
            for i = 0 to s.writer_values - 1 do
-             let v = value_pool.(i mod Array.length value_pool) in
+             let v = Diff.value_pool.(i mod Array.length Diff.value_pool) in
              Sys.op_write t v;
              ignore (Sys.op_sign t v)
            done));
   (* correct reader programs *)
-  let ops = ref 0 in
   for pid = 1 to s.n - 1 do
     if t.correct.(pid) then begin
       let prog =
         List.init s.reader_ops (fun _ ->
-            let v = Rng.pick_arr rng value_pool in
+            let v = Rng.pick_arr rng Diff.value_pool in
             if Rng.int rng 4 = 0 then `Read else `Verify v)
       in
-      ops := !ops + List.length prog;
       ignore
         (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
              List.iter
@@ -186,47 +191,7 @@ let run_verifiable (s : scenario) (rng : Rng.t) : outcome =
                prog))
     end
   done;
-  match Sys.run ~max_steps t with
-  | Sched.Budget_exhausted -> Error "step budget exhausted"
-  | Sched.Condition_met -> Error "unexpected stop"
-  | Sched.Quiescent -> (
-      let correct pid = t.correct.(pid) in
-      match
-        List.filter
-          (fun ((fb : Sched.fiber), _) -> correct fb.Sched.pid)
-          (Sched.failures t.sched)
-      with
-      | (fb, e) :: _ ->
-          Error
-            (Printf.sprintf "correct fiber %s failed: %s" fb.Sched.fname
-               (Printexc.to_string e))
-      | [] -> (
-          let violations =
-            Monitors.relay ~correct t.history
-            @ Monitors.validity ~correct t.history
-            @ Monitors.unforgeability ~correct ~writer:0 t.history
-          in
-          match Monitors.check_all violations with
-          | Error msg -> Error msg
-          | Ok () ->
-              let entries = History.complete_entries t.history in
-              (* The op cap is a crude proxy; the search's own node budget
-                 is the real bound — degrade to monitors-only if it trips. *)
-              let check_lin, lin_ok =
-                if List.length entries > byzlin_op_cap then (false, true)
-                else
-                  try (true, Sys.byz_linearizable t)
-                  with Lnd_history.Spec.Search_too_large -> (false, true)
-              in
-              if not lin_ok then Error "history not Byzantine linearizable"
-              else
-                Ok
-                  {
-                    scenario = s;
-                    steps = Sched.steps t.sched;
-                    operations = List.length entries;
-                    checked_linearizability = check_lin;
-                  }))
+  conclude s t.sched ~correct:t.correct t.history Verdict.verifiable
 
 let run_sticky (s : scenario) (rng : Rng.t) : outcome =
   let module Sys = Lnd_sticky.System in
@@ -267,57 +232,15 @@ let run_sticky (s : scenario) (rng : Rng.t) : outcome =
   if t.correct.(0) then
     ignore
       (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "a"));
-  let ops = ref 0 in
   for pid = 1 to s.n - 1 do
-    if t.correct.(pid) then begin
-      ops := !ops + s.reader_ops;
+    if t.correct.(pid) then
       ignore
         (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
              for _ = 1 to s.reader_ops do
                ignore (Sys.op_read t ~pid)
              done))
-    end
   done;
-  match Sys.run ~max_steps t with
-  | Sched.Budget_exhausted -> Error "step budget exhausted"
-  | Sched.Condition_met -> Error "unexpected stop"
-  | Sched.Quiescent -> (
-      let correct pid = t.correct.(pid) in
-      match
-        List.filter
-          (fun ((fb : Sched.fiber), _) -> correct fb.Sched.pid)
-          (Sched.failures t.sched)
-      with
-      | (fb, e) :: _ ->
-          Error
-            (Printf.sprintf "correct fiber %s failed: %s" fb.Sched.fname
-               (Printexc.to_string e))
-      | [] -> (
-          let violations =
-            Monitors.uniqueness ~correct t.history
-            @ Monitors.sticky_validity ~correct ~writer:0 t.history
-          in
-          match Monitors.check_all violations with
-          | Error msg -> Error msg
-          | Ok () ->
-              let entries = History.complete_entries t.history in
-              (* The op cap is a crude proxy; the search's own node budget
-                 is the real bound — degrade to monitors-only if it trips. *)
-              let check_lin, lin_ok =
-                if List.length entries > byzlin_op_cap then (false, true)
-                else
-                  try (true, Sys.byz_linearizable t)
-                  with Lnd_history.Spec.Search_too_large -> (false, true)
-              in
-              if not lin_ok then Error "history not Byzantine linearizable"
-              else
-                Ok
-                  {
-                    scenario = s;
-                    steps = Sched.steps t.sched;
-                    operations = List.length entries;
-                    checked_linearizability = check_lin;
-                  }))
+  conclude s t.sched ~correct:t.correct t.history Verdict.sticky
 
 let run (s : scenario) : outcome =
   let rng = Rng.create (s.seed * 31 + 17) in

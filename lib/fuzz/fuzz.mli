@@ -44,8 +44,8 @@ type report = {
   steps : int;
   operations : int;
   checked_linearizability : bool;
-      (** false when the history was too large and only the monitors
-          ran *)
+      (** false when {!Lnd_history.Verdict} answered [Monitors_only]:
+          the history was too large for the exhaustive search *)
 }
 
 type outcome = (report, string) result

@@ -4,18 +4,18 @@
    are actually Byzantine (possibly more than the declared f: the
    deliberately weakened configurations), their Byz_script genomes and
    the correct clients' programs — into the (make, check) pair the
-   Lnd_runtime.Explore engines drive. [make] builds a fresh
-   deterministic system for every explored schedule; [check] runs at
-   quiescence and raises [Property_violated] when the run breaks a
-   paper property:
+   Lnd_runtime.Explore engines drive. The config compiles once to a
+   Diff.work, and [make] builds a fresh deterministic system for every
+   explored schedule through Diff.system, the builder the differential
+   suite's sim driver uses; [check] runs at quiescence and raises
+   [Property_violated] when the run breaks a paper property:
 
    - no correct fiber crashed;
-   - the observational monitors (uniqueness/validity for sticky,
-     relay/validity/unforgeability for verifiable);
-   - stickiness: a completed correct read that returned v ≠ ⊥ (or a
-     TEST that returned 1) is never followed by a correct read
-     returning ⊥ (resp. 0) — Observation 18 / Definition 20;
-   - Byzantine linearizability of the recorded history (Theorems 14,
+   - the protocol's Lnd_history.Verdict: the observational monitors
+     (uniqueness/validity for sticky, whose uniqueness half includes
+     stickiness — Observation 18; relay/validity/unforgeability for
+     verifiable; bit monotonicity for test-or-set — Definition 20), then
+     Byzantine linearizability of the recorded history (Theorems 14,
      19, Observation 25) via the exhaustive Lnd_history.Byzlin checker;
    - blame soundness: with [audit = true] every run also streams its
      events through the forensic auditor, and an accusation against a
@@ -31,25 +31,15 @@ module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module Explore = Lnd_runtime.Explore
 module Space = Lnd_shm.Space
-module History = Lnd_history.History
-module Monitors = Lnd_history.Monitors
 module Obs = Lnd_obs.Obs
 module Trace = Lnd_obs.Trace
 module Audit = Lnd_audit.Audit
-module Byz_script = Lnd_byz.Byz_script
+module Diff = Lnd_parallel.Diff
 
-type model = Verifiable | Sticky | Testorset
+type model = Diff.proto = Sticky | Verifiable | Testorset
 
-let model_name = function
-  | Verifiable -> "verifiable"
-  | Sticky -> "sticky"
-  | Testorset -> "testorset"
-
-let model_of_name = function
-  | "verifiable" -> Some Verifiable
-  | "sticky" -> Some Sticky
-  | "testorset" -> Some Testorset
-  | _ -> None
+let model_name = Diff.proto_name
+let model_of_name = Diff.proto_of_name
 
 type config = {
   model : model;
@@ -114,18 +104,7 @@ let weakened : config =
     reads = 2;
   }
 
-let value_pool = [| "a"; "b"; "c" |]
-
-(* ---------------- Per-run state shared between make and check -------- *)
-
-type runstate = {
-  rs_correct : bool array;
-  rs_sched : Sched.t;
-  rs_failures : unit -> (Sched.fiber * exn) list;
-  rs_check_protocol : unit -> unit; (* monitors + stickiness + byzlin *)
-  rs_audit : Audit.t option;
-  rs_trace : Trace.t option;
-}
+(* ---------------- Instances ---------------- *)
 
 type instance = {
   cfg : config;
@@ -137,183 +116,37 @@ type instance = {
   teardown : unit -> unit; (* detach the Obs sink, if any was installed *)
 }
 
-(* Cap for the exhaustive linearizability search (cf. Fuzz.byzlin_op_cap);
-   mcheck client programs stay far below it. *)
-let byzlin_op_cap = 14
-
-(* Stickiness over the correct sub-history: [vret e] maps an entry to
-   [Some v-or-bottom] for read-like completions. *)
-let check_sticky_order ~what entries ~(vret : 'e -> Value.t option option)
-    ~(precedes : 'e -> 'e -> bool) =
-  List.iter
-    (fun a ->
-      match vret a with
-      | Some (Some v) ->
-          List.iter
-            (fun b ->
-              match vret b with
-              | Some None when precedes a b ->
-                  violated "%s violated: a correct read returned %s, a later one ⊥"
-                    what v
-              | _ -> ())
-            entries
-      | _ -> ())
-    entries
-
-let make_sticky (c : config) (policy : Policy.t) =
-  let module Sys = Lnd_sticky.System in
-  let t = Sys.make ~policy ~byzantine:c.byzantine ~n:c.n ~f:c.f () in
-  List.iter
-    (fun (pid, genome) ->
-      ignore
-        (Byz_script.spawn_sticky t.sched t.regs
-           (Byz_script.make ~pid ~genome ~value:c.script_value)))
-    c.scripts;
-  if t.correct.(0) then
-    ignore
-      (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-           for i = 0 to c.writes - 1 do
-             Sys.op_write t value_pool.(i mod Array.length value_pool)
-           done));
+(* The config as a Diff workload. Each correct reader runs [reads]
+   items: READs on sticky, TESTs on test-or-set (the sticky
+   construction, adversaries claiming "1"), and VERIFY("a")/READ
+   alternately on verifiable. Byzantine readers run nothing. *)
+let work_of (c : config) : Diff.work =
   List.iter
     (fun pid ->
-      if pid <= 0 || pid >= c.n then invalid_arg "Mcheck: bad reader pid";
-      if t.correct.(pid) then
-        ignore
-          (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-               for _ = 1 to c.reads do
-                 ignore (Sys.op_read t ~pid)
-               done)))
+      if pid <= 0 || pid >= c.n then invalid_arg "Mcheck: bad reader pid")
     c.readers;
-  let check_protocol () =
-    let correct pid = t.correct.(pid) in
-    (match
-       Monitors.check_all
-         (Monitors.uniqueness ~correct t.history
-         @ Monitors.sticky_validity ~correct ~writer:0 t.history)
-     with
-    | Ok () -> ()
-    | Error msg -> violated "%s" msg);
-    let module S = Lnd_history.Spec.Sticky_spec in
-    check_sticky_order ~what:"stickiness"
-      (History.complete_entries (History.restrict t.history ~correct))
-      ~vret:(fun (e : (S.op, S.res) History.entry) ->
-        match (e.op, e.ret) with
-        | S.Read, Some (S.Val v, _) -> Some v
-        | _ -> None)
-      ~precedes:History.precedes;
-    if List.length (History.complete_entries t.history) <= byzlin_op_cap then
-      if
-        not
-          (try Sys.byz_linearizable t
-           with Lnd_history.Spec.Search_too_large -> true)
-      then violated "history not Byzantine linearizable (sticky)"
+  let item i : Diff.item =
+    match c.model with
+    | Sticky -> I_read
+    | Testorset -> I_test
+    | Verifiable -> if i mod 2 = 0 then I_verify "a" else I_read
   in
-  (t.space, t.sched, t.correct, check_protocol)
-
-let make_verifiable (c : config) (policy : Policy.t) =
-  let module Sys = Lnd_verifiable.System in
-  let t = Sys.make ~policy ~byzantine:c.byzantine ~n:c.n ~f:c.f () in
-  List.iter
-    (fun (pid, genome) ->
-      ignore
-        (Byz_script.spawn_verifiable t.sched t.regs
-           (Byz_script.make ~pid ~genome ~value:c.script_value)))
-    c.scripts;
-  if t.correct.(0) then
-    ignore
-      (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-           for i = 0 to c.writes - 1 do
-             let v = value_pool.(i mod Array.length value_pool) in
-             Sys.op_write t v;
-             ignore (Sys.op_sign t v)
-           done));
-  List.iter
-    (fun pid ->
-      if pid <= 0 || pid >= c.n then invalid_arg "Mcheck: bad reader pid";
-      if t.correct.(pid) then
-        ignore
-          (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-               for i = 1 to c.reads do
-                 if i mod 2 = 1 then ignore (Sys.op_verify t ~pid "a")
-                 else ignore (Sys.op_read t ~pid)
-               done)))
-    c.readers;
-  let check_protocol () =
-    let correct pid = t.correct.(pid) in
-    (match
-       Monitors.check_all
-         (Monitors.relay ~correct t.history
-         @ Monitors.validity ~correct t.history
-         @ Monitors.unforgeability ~correct ~writer:0 t.history)
-     with
-    | Ok () -> ()
-    | Error msg -> violated "%s" msg);
-    if List.length (History.complete_entries t.history) <= byzlin_op_cap then
-      if
-        not
-          (try Sys.byz_linearizable t
-           with Lnd_history.Spec.Search_too_large -> true)
-      then violated "history not Byzantine linearizable (verifiable)"
-  in
-  (t.space, t.sched, t.correct, check_protocol)
-
-let make_testorset (c : config) (policy : Policy.t) =
-  let module Sys = Lnd_testorset.Testorset in
-  let t =
-    Sys.make ~policy ~byzantine:c.byzantine ~impl:Sys.Sticky_based ~n:c.n
-      ~f:c.f ()
-  in
-  (match t.backend with
-  | Sys.B_sticky (regs, _, _) ->
-      List.iter
-        (fun (pid, genome) ->
-          ignore
-            (Byz_script.spawn_sticky t.sched regs
-               (Byz_script.make ~pid ~genome ~value:"1")))
-        c.scripts
-  | Sys.B_verifiable (regs, _, _) ->
-      List.iter
-        (fun (pid, genome) ->
-          ignore
-            (Byz_script.spawn_verifiable t.sched regs
-               (Byz_script.make ~pid ~genome ~value:"1")))
-        c.scripts);
-  if t.correct.(0) then
-    ignore
-      (Sys.client t ~pid:0 ~name:"setter" (fun () ->
-           for _ = 1 to c.writes do
-             Sys.op_set t
-           done));
-  List.iter
-    (fun pid ->
-      if pid <= 0 || pid >= c.n then invalid_arg "Mcheck: bad reader pid";
-      if t.correct.(pid) then
-        ignore
-          (Sys.client t ~pid ~name:(Printf.sprintf "t%d" pid) (fun () ->
-               for _ = 1 to c.reads do
-                 ignore (Sys.op_test t ~pid)
-               done)))
-    c.readers;
-  let check_protocol () =
-    let correct pid = t.correct.(pid) in
-    let module T = Lnd_history.Spec.Testorset_spec in
-    check_sticky_order ~what:"test-or-set stickiness"
-      (History.complete_entries (History.restrict t.history ~correct))
-      ~vret:(fun (e : (T.op, T.res) History.entry) ->
-        match (e.op, e.ret) with
-        | T.Test, Some (T.Bit 1, _) -> Some (Some "1")
-        | T.Test, Some (T.Bit _, _) -> Some None
-        | _ -> None)
-      ~precedes:History.precedes;
-    if List.length (History.complete_entries t.history) <= byzlin_op_cap then
-      if
-        not
-          (try Sys.byz_linearizable t
-           with Lnd_history.Spec.Search_too_large -> true)
-      then violated "history not Byzantine linearizable (test-or-set)"
-  in
-  (t.space, t.sched, t.correct, check_protocol)
+  {
+    seed = 0;
+    proto = c.model;
+    n = c.n;
+    f = c.f;
+    tos_verifiable = false;
+    scripts = c.scripts;
+    script_value = (if c.model = Testorset then "1" else c.script_value);
+    writes = c.writes;
+    programs =
+      List.filter_map
+        (fun pid ->
+          if List.mem pid c.byzantine then None
+          else Some (pid, List.init c.reads item))
+        c.readers;
+  }
 
 let instance (c : config) : instance =
   if c.n < 2 then invalid_arg "Mcheck: n must be >= 2";
@@ -322,18 +155,14 @@ let instance (c : config) : instance =
       if not (List.mem pid c.byzantine) then
         invalid_arg "Mcheck: scripted pid must be listed as byzantine")
     c.scripts;
-  let state : runstate option ref = ref None in
+  let w = work_of c in
+  let state = ref None in
   let accesses = ref 0 in
   let installed = ref false in
   let make policy =
     accesses := 0;
-    let space, sched, correct, check_protocol =
-      match c.model with
-      | Sticky -> make_sticky c policy
-      | Verifiable -> make_verifiable c policy
-      | Testorset -> make_testorset c policy
-    in
-    Space.set_observer space (Some (fun _ -> incr accesses));
+    let s = Diff.system ~byzantine:c.byzantine w policy in
+    Space.set_observer s.space (Some (fun _ -> incr accesses));
     let trace, audit =
       if not c.audit then (None, None)
       else begin
@@ -346,41 +175,24 @@ let instance (c : config) : instance =
         (Some tr, Some au)
       end
     in
-    state :=
-      Some
-        {
-          rs_correct = correct;
-          rs_sched = sched;
-          rs_failures = (fun () -> Sched.failures sched);
-          rs_check_protocol = check_protocol;
-          rs_audit = audit;
-          rs_trace = trace;
-        };
-    sched
+    state := Some (s, trace, audit);
+    s.sched
   in
   let check _sched =
     match !state with
     | None -> ()
-    | Some rs ->
-        (match
-           List.filter
-             (fun ((fb : Sched.fiber), _) -> rs.rs_correct.(fb.Sched.pid))
-             (rs.rs_failures ())
-         with
-        | (fb, e) :: _ ->
-            violated "correct fiber %s failed: %s" fb.Sched.fname
-              (Printexc.to_string e)
-        | [] -> ());
-        rs.rs_check_protocol ();
-        (match rs.rs_audit with
+    | Some ((s : Diff.system), _, audit) -> (
+        Option.iter (violated "%s")
+          (Diff.correct_failure ~correct:s.correct s.sched);
+        Result.iter_error (violated "%s") (s.verdict ());
+        match audit with
         | None -> ()
         | Some au ->
-            let report = Audit.finalize au in
             List.iter
               (fun pid ->
-                if rs.rs_correct.(pid) then
+                if s.correct.(pid) then
                   violated "auditor blamed correct pid %d" pid)
-              (Audit.accused report))
+              (Audit.accused (Audit.finalize au)))
   in
   {
     cfg = c;
@@ -389,7 +201,7 @@ let instance (c : config) : instance =
     last_events =
       (fun () ->
         match !state with
-        | Some { rs_trace = Some tr; _ } -> Trace.events tr
+        | Some (_, Some tr, _) -> Trace.events tr
         | _ -> []);
     last_accesses = (fun () -> !accesses);
     teardown = (fun () -> if !installed then Obs.uninstall ());

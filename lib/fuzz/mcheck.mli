@@ -17,7 +17,7 @@ module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module Explore = Lnd_runtime.Explore
 
-type model = Verifiable | Sticky | Testorset
+type model = Lnd_parallel.Diff.proto = Sticky | Verifiable | Testorset
 
 val model_name : model -> string
 val model_of_name : string -> model option
@@ -30,9 +30,14 @@ type config = {
   scripts : (int * int list) list;
       (** {!Lnd_byz.Byz_script} genome per scripted pid; a Byzantine
           pid without a script simply crashes (takes no steps) *)
-  script_value : Value.t;  (** the value scripted adversaries claim *)
-  readers : int list;  (** pids running a client read program *)
-  reads : int;  (** operations per reader *)
+  script_value : Value.t;
+      (** the value scripted adversaries claim; test-or-set always
+          claims "1" *)
+  readers : int list;
+      (** pids running a client program; Byzantine ones run nothing *)
+  reads : int;
+      (** operations per reader: READs (sticky), TESTs (test-or-set),
+          VERIFY("a") and READ alternately (verifiable) *)
   writes : int;  (** writer operations (testorset: SETs) *)
   audit : bool;  (** stream every run through trace + auditor *)
 }

@@ -18,6 +18,7 @@ type ctx = {
   need_mli : bool;
   durable : bool;
   obs : bool;
+  verdict : bool;
 }
 
 let catalogue =
@@ -42,6 +43,10 @@ let catalogue =
        (print_* / Printf.printf / Format.eprintf); diagnostics flow \
        through the Lnd_obs.Obs sink, which stays silent and free under \
        the default Null sink" );
+    ( "verdict-seam",
+      "Spec.Search_too_large is named only under lib/history/: the \
+       search budget has one handler, Lnd_history.Verdict, and every \
+       checker judges histories through it" );
     ("exception-swallowing", "no catch-all `try ... with _ ->`");
     ("interface-hygiene", "every lib/**/*.ml has a sibling .mli");
     ( "suppression-hygiene",
@@ -158,6 +163,7 @@ let default_ctx ~path =
     (* lib/durable IS the durable layer (Wal sits on Disk by design) *)
     durable = protocol && not (in_dir "lib/durable" p);
     obs = List.exists (fun d -> in_dir d p) obs_dirs;
+    verdict = not (in_dir "lib/history" p);
   }
 
 (* ---------------- Suppressions ---------------- *)
@@ -303,6 +309,17 @@ let run (ctx : ctx) ~file ~has_mli (str : structure) : Findings.t list =
              m fn)
     | _ -> ()
   in
+  (* -------- verdict-seam: the search budget outside lib/history -------- *)
+  let check_constr ~loc (id : Longident.t) =
+    match id with
+    | (Lident "Search_too_large" | Ldot (_, "Search_too_large"))
+      when ctx.verdict ->
+        add ~loc "verdict-seam"
+          "Search_too_large handled outside lib/history; judge the \
+           history through Lnd_history.Verdict, which owns the one \
+           handler and reports Monitors_only"
+    | _ -> ()
+  in
   (* -------- quorum-arithmetic: inline threshold formulas -------- *)
   let last_name (e : expression) : string option =
     match e.pexp_desc with
@@ -360,6 +377,7 @@ let run (ctx : ctx) ~file ~has_mli (str : structure) : Findings.t list =
     List.iter (note_allow ~span:(Some e.pexp_loc)) e.pexp_attributes;
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } -> check_ident ~loc txt
+    | Pexp_construct ({ txt; loc }, _) -> check_constr ~loc txt
     | Pexp_try (_, cases) when ctx.swallow ->
         List.iter
           (fun c ->
@@ -375,6 +393,12 @@ let run (ctx : ctx) ~file ~has_mli (str : structure) : Findings.t list =
     check_quorum ~loc:e.pexp_loc e;
     super.expr it e
   in
+  let pat it (p : pattern) =
+    (match p.ppat_desc with
+    | Ppat_construct ({ txt; loc }, _) -> check_constr ~loc txt
+    | _ -> ());
+    super.pat it p
+  in
   let value_binding it (vb : value_binding) =
     List.iter (note_allow ~span:(Some vb.pvb_loc)) vb.pvb_attributes;
     super.value_binding it vb
@@ -385,7 +409,7 @@ let run (ctx : ctx) ~file ~has_mli (str : structure) : Findings.t list =
     | _ -> ());
     super.structure_item it si
   in
-  let it = { super with expr; value_binding; structure_item } in
+  let it = { super with expr; pat; value_binding; structure_item } in
   it.structure it str;
   if ctx.need_mli && not has_mli then
     raw :=

@@ -28,6 +28,10 @@
        [Format.printf]/[eprintf]); diagnostics are typed events emitted
        through the [Lnd_obs.Obs] sink, so the default Null sink keeps
        runs silent and byte-identical.}
+    {- [verdict-seam] — [Spec.Search_too_large] is named only under
+       [lib/history/]: the exhaustive search's budget has one handler,
+       [Lnd_history.Verdict], so no checker can quietly turn "could not
+       decide" into "pass" on its own.}
     {- [exception-swallowing] — no [try ... with _ ->]: a catch-all
        silently absorbs assertion failures and scheduler-kill exceptions.}
     {- [interface-hygiene] — every [lib/**/*.ml] has an [.mli]
@@ -50,6 +54,7 @@ type ctx = {
   need_mli : bool;  (** the file must have a sibling [.mli] *)
   durable : bool;  (** [Disk.*] ban active *)
   obs : bool;  (** direct-printing ban active *)
+  verdict : bool;  (** [Search_too_large] ban active *)
 }
 
 val catalogue : (string * string) list
@@ -85,7 +90,8 @@ val default_ctx : path:string -> ctx
     files ([net.ml], [faultnet.ml], [rlink.ml], [transport.ml]) are
     exempt from [transport-seam]; [lib/support/rng.ml] is exempt from the
     randomness ban and [lib/support/quorum.ml] from the threshold ban
-    (they ARE the sanctioned homes); everything under [lib/] needs an
+    (they ARE the sanctioned homes); [lib/history] is exempt from
+    [verdict-seam] (it owns the search); everything under [lib/] needs an
     [.mli]. Tests override this to force rules on for fixtures. *)
 
 val run :

@@ -13,8 +13,8 @@
    - the domains run is accepted by the same checkers — real parallelism
      may produce a different (legal) interleaving, so histories are
      compared through the spec, not byte-for-byte;
-   - a deliberately broken core (Parallel.run_* ~flip_reads:true) makes
-     the suite fail, so "green" is evidence, not vacuity.
+   - a deliberately broken core (Parallel.run ~broken:true) makes the
+     suite fail, so "green" is evidence, not vacuity.
 
    Workload generation is deterministic in (seed, protocol) and stays in
    the paper's safe zone (n >= 3f + 1, at most f actually-faulty pids,
@@ -25,8 +25,7 @@ open Lnd_support
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module History = Lnd_history.History
-module Monitors = Lnd_history.Monitors
-module Byzlin = Lnd_history.Byzlin
+module Verdict = Lnd_history.Verdict
 module Trace_replay = Lnd_history.Trace_replay
 module Obs = Lnd_obs.Obs
 module Trace = Lnd_obs.Trace
@@ -146,77 +145,18 @@ let describe (w : work) : string =
 
 (* ---------------- Spec-level acceptance (shared by both backends) ----- *)
 
-(* Cap for the exhaustive linearizability search (cf. Fuzz.byzlin_op_cap);
-   larger histories are judged by the monitors only. *)
-let byzlin_op_cap = 14
+(* Lnd_history.Verdict with the verdict's kind dropped: both backends
+   only ask whether the history was accepted. *)
+let byzlin_op_cap = Verdict.op_cap
 
-let check_sticky_history ~(correct : int -> bool)
-    (h : (Lnd_history.Spec.Sticky_spec.op, Lnd_history.Spec.Sticky_spec.res) History.t) :
-    (unit, string) result =
-  match
-    Monitors.check_all
-      (Monitors.uniqueness ~correct h
-      @ Monitors.sticky_validity ~correct ~writer:0 h)
-  with
-  | Error m -> Error m
-  | Ok () ->
-      if List.length (History.complete_entries h) > byzlin_op_cap then Ok ()
-      else if
-        try Byzlin.sticky ~writer:0 ~correct h
-        with Lnd_history.Spec.Search_too_large -> true
-      then Ok ()
-      else Error "history not Byzantine linearizable (sticky)"
+let check_sticky_history ~correct h =
+  Result.map ignore (Verdict.sticky ~correct h)
 
-let check_verifiable_history ~(correct : int -> bool)
-    (h :
-      (Lnd_history.Spec.Verifiable_spec.op, Lnd_history.Spec.Verifiable_spec.res)
-      History.t) : (unit, string) result =
-  match
-    Monitors.check_all
-      (Monitors.relay ~correct h
-      @ Monitors.validity ~correct h
-      @ Monitors.unforgeability ~correct ~writer:0 h)
-  with
-  | Error m -> Error m
-  | Ok () ->
-      if List.length (History.complete_entries h) > byzlin_op_cap then Ok ()
-      else if
-        try Byzlin.verifiable ~writer:0 ~correct h
-        with Lnd_history.Spec.Search_too_large -> true
-      then Ok ()
-      else Error "history not Byzantine linearizable (verifiable)"
+let check_verifiable_history ~correct h =
+  Result.map ignore (Verdict.verifiable ~correct h)
 
-let check_testorset_history ~(correct : int -> bool)
-    (h :
-      (Lnd_history.Spec.Testorset_spec.op, Lnd_history.Spec.Testorset_spec.res)
-      History.t) : (unit, string) result =
-  let module T = Lnd_history.Spec.Testorset_spec in
-  let entries = History.complete_entries (History.restrict h ~correct) in
-  let bit (e : (T.op, T.res) History.entry) =
-    match (e.op, e.ret) with T.Test, Some (T.Bit b, _) -> Some b | _ -> None
-  in
-  let monotone =
-    List.for_all
-      (fun a ->
-        match bit a with
-        | Some 1 ->
-            List.for_all
-              (fun b ->
-                match bit b with
-                | Some 0 -> not (History.precedes a b)
-                | _ -> true)
-              entries
-        | _ -> true)
-      entries
-  in
-  if not monotone then
-    Error "test-or-set stickiness violated: TEST=1 then a later TEST=0"
-  else if List.length (History.complete_entries h) > byzlin_op_cap then Ok ()
-  else if
-    try Byzlin.testorset ~setter:0 ~correct h
-    with Lnd_history.Spec.Search_too_large -> true
-  then Ok ()
-  else Error "history not Byzantine linearizable (test-or-set)"
+let check_testorset_history ~correct h =
+  Result.map ignore (Verdict.testorset ~correct h)
 
 (* ---------------- Canonical history rendering ---------------- *)
 
@@ -269,6 +209,15 @@ let render_testorset h : string =
 
 (* ---------------- Driver #1: the deterministic simulator ---------------- *)
 
+type system = {
+  sched : Sched.t;
+  space : Lnd_shm.Space.t;
+  correct : bool array;
+  verdict : unit -> (unit, string) result;
+  ops : unit -> int;
+  rendered : unit -> string;
+}
+
 type run = {
   ops : int; (* completed operations in the history *)
   steps : int; (* scheduler steps (sim) or machine turns (domains) *)
@@ -290,159 +239,105 @@ let correct_failure ~(correct : bool array) sched : string option =
         (Printf.sprintf "correct fiber %s failed: %s" fb.Sched.fname
            (Printexc.to_string e))
 
+let settle ~correct sched (verdict : unit -> ('a, string) result) :
+    ('a, string) result =
+  match Sched.run ~max_steps:sim_max_steps sched with
+  | Sched.Budget_exhausted -> Error "step budget exhausted"
+  | Sched.Condition_met -> Error "unexpected stop"
+  | Sched.Quiescent -> (
+      match correct_failure ~correct sched with
+      | Some m -> Error m
+      | None -> verdict ())
+
 let policy_of (w : work) = Policy.random ~seed:((w.seed * 31) + 17)
 
-let sim_sticky (w : work) : run =
-  let module Sys = Lnd_sticky.System in
-  let byz = byzantine_pids w in
-  let t = Sys.make ~policy:(policy_of w) ~byzantine:byz ~n:w.n ~f:w.f () in
-  List.iter
-    (fun (pid, genome) ->
+(* Spawn order is load-bearing (it fixes fiber ids, hence schedules and
+   DPOR counts): help daemons (inside [make]), then [wire]'s scripts,
+   writer and readers. *)
+let system ?byzantine (w : work) (policy : Policy.t) : system =
+  let byzantine = Option.value byzantine ~default:(byzantine_pids w) in
+  let wire sched space (correct : bool array) h ~check ~render ~script
+      ~writer ~prefix ~write item : system =
+    List.iter
+      (fun (pid, genome) ->
+        ignore (script (Byz_script.make ~pid ~genome ~value:w.script_value)))
+      w.scripts;
+    if correct.(0) then
       ignore
-        (Byz_script.spawn_sticky t.sched t.regs
-           (Byz_script.make ~pid ~genome ~value:w.script_value)))
-    w.scripts;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         for i = 0 to w.writes - 1 do
-           Sys.op_write t value_pool.(i mod Array.length value_pool)
-         done));
-  List.iter
-    (fun (pid, prog) ->
-      ignore
-        (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-             List.iter
-               (function
-                 | I_read -> ignore (Sys.op_read t ~pid)
-                 | I_verify _ | I_test -> invalid_arg "Diff: sticky program")
-               prog)))
-    w.programs;
-  let stop = Sys.run ~max_steps:sim_max_steps t in
-  let verdict =
-    match stop with
-    | Sched.Budget_exhausted -> Error "step budget exhausted"
-    | Sched.Condition_met -> Error "unexpected stop"
-    | Sched.Quiescent -> (
-        match correct_failure ~correct:t.correct t.sched with
-        | Some m -> Error m
-        | None ->
-            check_sticky_history ~correct:(fun pid -> t.correct.(pid)) t.history)
+        (Sched.spawn sched ~pid:0 ~name:writer (fun () ->
+             for i = 0 to w.writes - 1 do
+               write value_pool.(i mod Array.length value_pool)
+             done));
+    List.iter
+      (fun (pid, prog) ->
+        ignore
+          (Sched.spawn sched ~pid ~name:(Printf.sprintf "%s%d" prefix pid)
+             (fun () -> List.iter (item pid) prog)))
+      w.programs;
+    {
+      sched;
+      space;
+      correct;
+      verdict = (fun () -> check ~correct:(fun pid -> correct.(pid)) h);
+      ops = (fun () -> List.length (History.complete_entries h));
+      rendered = (fun () -> render h);
+    }
   in
-  {
-    ops = List.length (History.complete_entries t.history);
-    steps = Sched.steps t.sched;
-    verdict;
-    rendered = render_sticky t.history;
-  }
-
-let sim_verifiable (w : work) : run =
-  let module Sys = Lnd_verifiable.System in
-  let byz = byzantine_pids w in
-  let t = Sys.make ~policy:(policy_of w) ~byzantine:byz ~n:w.n ~f:w.f () in
-  List.iter
-    (fun (pid, genome) ->
-      ignore
-        (Byz_script.spawn_verifiable t.sched t.regs
-           (Byz_script.make ~pid ~genome ~value:w.script_value)))
-    w.scripts;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         for i = 0 to w.writes - 1 do
-           let v = value_pool.(i mod Array.length value_pool) in
-           Sys.op_write t v;
-           ignore (Sys.op_sign t v)
-         done));
-  List.iter
-    (fun (pid, prog) ->
-      ignore
-        (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-             List.iter
-               (function
-                 | I_read -> ignore (Sys.op_read t ~pid)
-                 | I_verify v -> ignore (Sys.op_verify t ~pid v)
-                 | I_test -> invalid_arg "Diff: verifiable program")
-               prog)))
-    w.programs;
-  let stop = Sys.run ~max_steps:sim_max_steps t in
-  let verdict =
-    match stop with
-    | Sched.Budget_exhausted -> Error "step budget exhausted"
-    | Sched.Condition_met -> Error "unexpected stop"
-    | Sched.Quiescent -> (
-        match correct_failure ~correct:t.correct t.sched with
-        | Some m -> Error m
-        | None ->
-            check_verifiable_history
-              ~correct:(fun pid -> t.correct.(pid))
-              t.history)
-  in
-  {
-    ops = List.length (History.complete_entries t.history);
-    steps = Sched.steps t.sched;
-    verdict;
-    rendered = render_verifiable t.history;
-  }
-
-let sim_testorset (w : work) : run =
-  let module Sys = Lnd_testorset.Testorset in
-  let byz = byzantine_pids w in
-  let impl = if w.tos_verifiable then Sys.Verifiable_based else Sys.Sticky_based in
-  let t = Sys.make ~policy:(policy_of w) ~byzantine:byz ~impl ~n:w.n ~f:w.f () in
-  (match t.backend with
-  | Sys.B_sticky (regs, _, _) ->
-      List.iter
-        (fun (pid, genome) ->
-          ignore
-            (Byz_script.spawn_sticky t.sched regs
-               (Byz_script.make ~pid ~genome ~value:w.script_value)))
-        w.scripts
-  | Sys.B_verifiable (regs, _, _) ->
-      List.iter
-        (fun (pid, genome) ->
-          ignore
-            (Byz_script.spawn_verifiable t.sched regs
-               (Byz_script.make ~pid ~genome ~value:w.script_value)))
-        w.scripts);
-  ignore
-    (Sys.client t ~pid:0 ~name:"setter" (fun () ->
-         for _ = 1 to w.writes do
-           Sys.op_set t
-         done));
-  List.iter
-    (fun (pid, prog) ->
-      ignore
-        (Sys.client t ~pid ~name:(Printf.sprintf "t%d" pid) (fun () ->
-             List.iter
-               (function
-                 | I_test -> ignore (Sys.op_test t ~pid)
-                 | I_read | I_verify _ -> invalid_arg "Diff: testorset program")
-               prog)))
-    w.programs;
-  let stop = Sys.run ~max_steps:sim_max_steps t in
-  let verdict =
-    match stop with
-    | Sched.Budget_exhausted -> Error "step budget exhausted"
-    | Sched.Condition_met -> Error "unexpected stop"
-    | Sched.Quiescent -> (
-        match correct_failure ~correct:t.correct t.sched with
-        | Some m -> Error m
-        | None ->
-            check_testorset_history
-              ~correct:(fun pid -> t.correct.(pid))
-              t.history)
-  in
-  {
-    ops = List.length (History.complete_entries t.history);
-    steps = Sched.steps t.sched;
-    verdict;
-    rendered = render_testorset t.history;
-  }
+  let bad proto = invalid_arg ("Diff: " ^ proto ^ " program") in
+  let n = w.n and f = w.f in
+  match w.proto with
+  | Sticky ->
+      let module Sys = Lnd_sticky.System in
+      let t = Sys.make ~policy ~byzantine ~n ~f () in
+      wire t.sched t.space t.correct t.history ~check:check_sticky_history
+        ~render:render_sticky
+        ~script:(Byz_script.spawn_sticky t.sched t.regs)
+        ~writer:"writer" ~prefix:"r"
+        ~write:(Sys.op_write t) (fun pid -> function
+        | I_read -> ignore (Sys.op_read t ~pid)
+        | I_verify _ | I_test -> bad "sticky")
+  | Verifiable ->
+      let module Sys = Lnd_verifiable.System in
+      let t = Sys.make ~policy ~byzantine ~n ~f () in
+      wire t.sched t.space t.correct t.history ~check:check_verifiable_history
+        ~render:render_verifiable
+        ~script:(Byz_script.spawn_verifiable t.sched t.regs)
+        ~writer:"writer" ~prefix:"r"
+        ~write:(fun v ->
+          Sys.op_write t v;
+          ignore (Sys.op_sign t v))
+        (fun pid -> function
+        | I_read -> ignore (Sys.op_read t ~pid)
+        | I_verify v -> ignore (Sys.op_verify t ~pid v)
+        | I_test -> bad "verifiable")
+  | Testorset ->
+      let module Sys = Lnd_testorset.Testorset in
+      let impl =
+        if w.tos_verifiable then Sys.Verifiable_based else Sys.Sticky_based
+      in
+      let t = Sys.make ~policy ~byzantine ~impl ~n ~f () in
+      let script =
+        match t.backend with
+        | Sys.B_sticky (regs, _, _) -> Byz_script.spawn_sticky t.sched regs
+        | Sys.B_verifiable (regs, _, _) ->
+            Byz_script.spawn_verifiable t.sched regs
+      in
+      wire t.sched t.space t.correct t.history ~check:check_testorset_history
+        ~render:render_testorset ~script ~writer:"setter" ~prefix:"t"
+        ~write:(fun _ -> Sys.op_set t)
+        (fun pid -> function
+        | I_test -> ignore (Sys.op_test t ~pid)
+        | I_read | I_verify _ -> bad "testorset")
 
 let sim (w : work) : run =
-  match w.proto with
-  | Sticky -> sim_sticky w
-  | Verifiable -> sim_verifiable w
-  | Testorset -> sim_testorset w
+  let s = system w (policy_of w) in
+  let verdict = settle ~correct:s.correct s.sched s.verdict in
+  {
+    ops = s.ops ();
+    steps = Sched.steps s.sched;
+    verdict;
+    rendered = s.rendered ();
+  }
 
 (* ---------------- Golden baselines (sim driver) ---------------- *)
 

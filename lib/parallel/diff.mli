@@ -50,11 +50,12 @@ val generate : proto:proto -> int -> work
 val byzantine_pids : work -> int list
 val describe : work -> string
 
-(** {2 Spec-level acceptance (shared by both backends)} *)
+(** {2 Spec-level acceptance (shared by both backends)}
+
+    {!Lnd_history.Verdict} with the kind of acceptance dropped. *)
 
 val byzlin_op_cap : int
-(** Histories above this many completed operations are judged by the
-    monitors only (the exhaustive search is exponential). *)
+(** {!Lnd_history.Verdict.op_cap}. *)
 
 val check_sticky_history :
   correct:(int -> bool) ->
@@ -93,6 +94,16 @@ val render_testorset :
 
 (** {2 Driver #1: the deterministic simulator} *)
 
+type system = {
+  sched : Lnd_runtime.Sched.t;
+  space : Lnd_shm.Space.t;
+  correct : bool array;  (** indexed by pid *)
+  verdict : unit -> (unit, string) result;
+      (** the protocol's checker over the history so far *)
+  ops : unit -> int;  (** completed operations so far *)
+  rendered : unit -> string;  (** canonical history so far *)
+}
+
 type run = {
   ops : int;  (** completed operations in the history *)
   steps : int;  (** scheduler steps (sim) or machine turns (domains) *)
@@ -100,9 +111,30 @@ type run = {
   rendered : string;  (** canonical history *)
 }
 
+val system :
+  ?byzantine:int list -> work -> Lnd_runtime.Policy.t -> system
+(** A fresh, not yet run simulated system for the workload, with its
+    fibers spawned in a fixed order: help daemons for the correct pids,
+    the genome scripts, the writer (if correct), then one client fiber
+    per program. [byzantine] (default {!byzantine_pids}) may add pids
+    that run nothing, i.e. crash-silent ones. *)
+
+val correct_failure :
+  correct:bool array -> Lnd_runtime.Sched.t -> string option
+(** The first fiber of a correct pid that raised, rendered. *)
+
+val settle :
+  correct:bool array ->
+  Lnd_runtime.Sched.t ->
+  (unit -> ('a, string) result) ->
+  ('a, string) result
+(** Run the scheduler to quiescence (8M-step budget); a budget
+    exhaustion, an early stop or a {!correct_failure} is an [Error],
+    otherwise the verdict thunk decides. *)
+
 val sim : work -> run
-(** Execute the workload on the effects-based simulator, to quiescence,
-    under [Policy.random] seeded from the work. *)
+(** {!system} under [Policy.random] seeded from the work, then
+    {!settle}. *)
 
 val sim_line : work -> string
 (** [describe] + verdict + canonical history: one golden-baseline line. *)

@@ -5,9 +5,10 @@
    register cells, real preemption, and a global atomic clock stamping
    the operation history. The protocol logic is exactly the pure
    Sticky_core / Verifiable_core / Testorset_core / Byz_script_core
-   machines the simulator drives — this module only owns register
-   allocation and history bookkeeping, so any verdict disagreement
-   between the backends indicts the cores (or a driver), not a second
+   machines the simulator drives, over the register layouts of
+   Sticky/Verifiable.alloc_with — this module only owns cell allocation
+   and history bookkeeping, so any verdict disagreement between the
+   backends indicts the cores (or a driver), not a second
    implementation of the protocol.
 
    [~broken:true] swaps in deliberately broken cores — the protocol
@@ -46,22 +47,6 @@ let merge_history (recs : ('op, 'res) History.entry list array) :
 let entry pid op ~inv ~ret res : ('op, 'res) History.entry =
   { History.pid; op; inv; ret = Some (res, ret) }
 
-(* One HELP span per round actually serving askers (the cores mark those
-   rounds with Serving/Served notes), mirroring the sim-side protocol
-   wrappers; one closure per daemon, since the span id must survive from
-   Serving to Served across turns. *)
-let help_note () : Machine.note -> unit =
-  let sp = ref 0 in
-  function
-  | Machine.Serving askers ->
-      if Obs.enabled () then
-        sp :=
-          Obs.span_open ~name:"HELP"
-            ~arg:(String.concat "," (List.map string_of_int askers))
-            ()
-  | Machine.Served ->
-      if Obs.enabled () then Obs.span_close ~result:"done" ~name:"HELP" !sp
-
 let correct_of (w : Diff.work) : bool array =
   let correct = Array.make w.Diff.n true in
   List.iter (fun pid -> correct.(pid) <- false) (Diff.byzantine_pids w);
@@ -90,44 +75,21 @@ let finish_run (type o r) ~correct
 
 (* ---------------- Sticky ---------------- *)
 
-let sticky_cells n : S_core.reg -> Dcell.t =
-  let vopt_init = Univ.inj Codecs.value_opt None in
-  let e =
-    Array.init n (fun i ->
-        Dcell.make ~name:(Printf.sprintf "E_%d" i) ~init:vopt_init)
-  in
-  let r =
-    Array.init n (fun i ->
-        Dcell.make ~name:(Printf.sprintf "R_%d" i) ~init:vopt_init)
-  in
-  let rjk =
-    Array.init n (fun j ->
-        Array.init n (fun k ->
-            if k = 0 then e.(0) (* placeholder, never used *)
-            else
-              Dcell.make
-                ~name:(Printf.sprintf "R_{%d,%d}" j k)
-                ~init:(Univ.inj Codecs.vopt_stamped (None, 0))))
-  in
-  let c =
-    Array.init n (fun k ->
-        if k = 0 then e.(0) (* placeholder, never used *)
-        else
-          Dcell.make
-            ~name:(Printf.sprintf "C_%d" k)
-            ~init:(Univ.inj Codecs.counter 0))
-  in
-  function
-  | S_core.E i -> e.(i)
-  | S_core.R i -> r.(i)
-  | S_core.Rjk (j, k) -> rjk.(j).(k)
-  | S_core.C k -> c.(k)
+(* The protocols' own register layouts, over mutex-protected cells. *)
+let dcell ~name ~owner:_ ?single_reader:_ ~init () = Dcell.make ~name ~init
+
+let sticky_cells (w : Diff.work) : S_core.reg -> Dcell.t =
+  Lnd_sticky.Sticky.(cell_of (alloc_with dcell { n = w.Diff.n; f = w.Diff.f }))
+
+let verifiable_cells (w : Diff.work) : V_core.reg -> Dcell.t =
+  Lnd_verifiable.Verifiable.(
+    cell_of (alloc_with dcell { n = w.Diff.n; f = w.Diff.f }))
 
 let run_sticky ~broken (w : Diff.work) : Diff.run =
   let module S = Spec.Sticky_spec in
   let n = w.Diff.n in
   let q = Quorum.make_relaxed ~n ~f:w.Diff.f in
-  let cell = sticky_cells n in
+  let cell = sticky_cells w in
   let correct = correct_of w in
   let recs : (S.op, S.res) History.entry list array = Array.make n [] in
   let record pid op ~inv ~ret res =
@@ -137,7 +99,7 @@ let run_sticky ~broken (w : Diff.work) : Diff.run =
   let help pid =
     Domains.daemon
       ~label:(Printf.sprintf "help%d" pid)
-      ~on_note:(help_note ()) ~cell
+      ~on_note:(Lnd_runtime.Drive.help_spans ()) ~cell
       (S_core.help_prog ~n ~q ~pid)
   in
   Domains.add_process d ~pid:0 ~daemons:[ help 0 ]
@@ -193,42 +155,11 @@ let run_sticky ~broken (w : Diff.work) : Diff.run =
 
 (* ---------------- Verifiable ---------------- *)
 
-let verifiable_cells n : V_core.reg -> Dcell.t =
-  let rstar = Dcell.make ~name:"R*" ~init:(Univ.inj Codecs.value Value.v0) in
-  let r =
-    Array.init n (fun i ->
-        Dcell.make
-          ~name:(Printf.sprintf "R_%d" i)
-          ~init:(Univ.inj Codecs.vset VSet.empty))
-  in
-  let rjk =
-    Array.init n (fun j ->
-        Array.init n (fun k ->
-            if k = 0 then r.(0) (* placeholder, never used *)
-            else
-              Dcell.make
-                ~name:(Printf.sprintf "R_{%d,%d}" j k)
-                ~init:(Univ.inj Codecs.vset_stamped (VSet.empty, 0))))
-  in
-  let c =
-    Array.init n (fun k ->
-        if k = 0 then rstar (* placeholder, never used *)
-        else
-          Dcell.make
-            ~name:(Printf.sprintf "C_%d" k)
-            ~init:(Univ.inj Codecs.counter 0))
-  in
-  function
-  | V_core.Rstar -> rstar
-  | V_core.R i -> r.(i)
-  | V_core.Rjk (j, k) -> rjk.(j).(k)
-  | V_core.C k -> c.(k)
-
 let run_verifiable ~broken (w : Diff.work) : Diff.run =
   let module V = Spec.Verifiable_spec in
   let n = w.Diff.n in
   let q = Quorum.make_relaxed ~n ~f:w.Diff.f in
-  let cell = verifiable_cells n in
+  let cell = verifiable_cells w in
   let correct = correct_of w in
   let recs : (V.op, V.res) History.entry list array = Array.make n [] in
   let record pid op ~inv ~ret res =
@@ -238,7 +169,7 @@ let run_verifiable ~broken (w : Diff.work) : Diff.run =
   let help pid =
     Domains.daemon
       ~label:(Printf.sprintf "help%d" pid)
-      ~on_note:(help_note ()) ~cell
+      ~on_note:(Lnd_runtime.Drive.help_spans ()) ~cell
       (V_core.help_prog ~n ~q ~pid)
   in
   let written = ref VSet.empty in
@@ -330,7 +261,7 @@ let run_testorset ~broken (w : Diff.work) : Diff.run =
      own namespace directly. *)
   let cell, help_prog, set_job, test_prog, byz_daemon =
     if w.Diff.tos_verifiable then begin
-      let vcell = verifiable_cells n in
+      let vcell = verifiable_cells w in
       let cell : T_core.reg -> Dcell.t = function
         | T_core.Vreg r -> vcell r
         | T_core.Sreg _ -> invalid_arg "Parallel: sticky reg in verifiable tos"
@@ -358,7 +289,7 @@ let run_testorset ~broken (w : Diff.work) : Diff.run =
       )
     end
     else begin
-      let scell = sticky_cells n in
+      let scell = sticky_cells w in
       let cell : T_core.reg -> Dcell.t = function
         | T_core.Sreg r -> scell r
         | T_core.Vreg _ -> invalid_arg "Parallel: verifiable reg in sticky tos"
@@ -384,7 +315,7 @@ let run_testorset ~broken (w : Diff.work) : Diff.run =
   let help pid =
     Domains.daemon
       ~label:(Printf.sprintf "help%d" pid)
-      ~on_note:(help_note ()) ~cell (help_prog pid)
+      ~on_note:(Lnd_runtime.Drive.help_spans ()) ~cell (help_prog pid)
   in
   Domains.add_process d ~pid:0 ~daemons:[ help 0 ]
     (List.init w.Diff.writes (fun _ -> set_job ()));

@@ -34,3 +34,20 @@ let run ?(on_note : Machine.note -> unit = fun _ -> ())
       acts
   done;
   Option.get !result
+
+(* One HELP span per round actually serving askers, so a trace shows
+   helping work without one span per idle poll; the cores mark those
+   rounds with Serving/Served notes. One closure per daemon, since the
+   span id must survive from Serving to Served. *)
+let help_spans () : Machine.note -> unit =
+  let sp = ref 0 in
+  function
+  | Machine.Serving askers ->
+      if Lnd_obs.Obs.enabled () then
+        sp :=
+          Lnd_obs.Obs.span_open ~name:"HELP"
+            ~arg:(String.concat "," (List.map string_of_int askers))
+            ()
+  | Machine.Served ->
+      if Lnd_obs.Obs.enabled () then
+        Lnd_obs.Obs.span_close ~result:"done" ~name:"HELP" !sp

@@ -16,3 +16,9 @@ val run :
 (** Must be invoked from within a fiber. [on_note] receives protocol
     annotations in program order (default: ignore); protocol drivers map
     them to Obs spans. *)
+
+val help_spans : unit -> Machine.note -> unit
+(** A fresh [on_note] handler for one help daemon, on either driver:
+    one Obs [HELP] span per round that actually serves askers, opened on
+    [Serving askers] and closed on [Served]. Silent under the Null
+    sink. *)

@@ -26,20 +26,28 @@ type config = { n : int; f : int }
 let[@lnd.pure] check_config { n; f } =
   if f < 0 || n < 2 then invalid_arg "Sticky: need n >= 2, f >= 0"
 
-type regs = {
+(* The layout is polymorphic in the cell type: Cell.t on the simulator,
+   Domains.Dcell.t on the domains driver. *)
+type 'c layout = {
   cfg : config;
   q : Quorum.t;
-  e : Cell.t array;
-  r : Cell.t array;
-  rjk : Cell.t array array; (* rjk.(j).(k); column k = 0 unused *)
-  c : Cell.t array; (* c.(0) unused *)
+  e : 'c array;
+  r : 'c array;
+  rjk : 'c array array; (* rjk.(j).(k); column k = 0 unused *)
+  c : 'c array; (* c.(0) unused *)
 }
 
+type regs = Cell.t layout
+
 (* Allocate the register layout through an arbitrary cell allocator: the
-   shared-memory one (the base model) or an emulated one (Section 9).
-   [Quorum.make_relaxed]: the Section 8 experiments instantiate the
-   algorithm outside its safe zone (n <= 3f) on purpose. *)
-let alloc_with (mk : Cell.allocator) (cfg : config) : regs =
+   shared-memory one (the base model), an emulated one (Section 9) or
+   the domains driver's. [Quorum.make_relaxed]: the Section 8
+   experiments instantiate the algorithm outside its safe zone (n <= 3f)
+   on purpose. *)
+let alloc_with
+    (mk :
+      name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> 'c)
+    (cfg : config) : 'c layout =
   check_config cfg;
   let n = cfg.n in
   let q = Quorum.make_relaxed ~n:cfg.n ~f:cfg.f in
@@ -80,7 +88,7 @@ let alloc space (cfg : config) : regs = alloc_with (Cell.shm_allocator space) cf
 (* Map the core's abstract register names onto this layout (shared by
    every sim-side driver of Sticky_core programs, including the scripted
    adversaries in Lnd_byz). *)
-let cell_of (rg : regs) : Sticky_core.reg -> Cell.t = function
+let cell_of (rg : 'c layout) : Sticky_core.reg -> 'c = function
   | Sticky_core.E i -> rg.e.(i)
   | Sticky_core.R i -> rg.r.(i)
   | Sticky_core.Rjk (j, k) -> rg.rjk.(j).(k)
@@ -125,19 +133,5 @@ let read (rd : reader) : Value.t option =
 (* ---------------- Help() — lines 23-40 ---------------- *)
 
 let help (rg : regs) ~pid : unit =
-  (* one HELP span per round actually serving askers, so the trace shows
-     helping work without one span per idle poll; the core marks those
-     rounds with Serving/Served notes *)
-  let sp = ref 0 in
-  let on_note : Machine.note -> unit = function
-    | Machine.Serving askers ->
-        if Obs.enabled () then
-          sp :=
-            Obs.span_open ~name:"HELP"
-              ~arg:(String.concat "," (List.map string_of_int askers))
-              ()
-    | Machine.Served ->
-        if Obs.enabled () then Obs.span_close ~result:"done" ~name:"HELP" !sp
-  in
-  Drive.run ~on_note ~cell:(cell_of rg)
+  Drive.run ~on_note:(Drive.help_spans ()) ~cell:(cell_of rg)
     (Sticky_core.help_prog ~n:rg.cfg.n ~q:rg.q ~pid)

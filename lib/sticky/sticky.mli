@@ -20,22 +20,31 @@ open Lnd_runtime
 
 type config = { n : int; f : int }
 
-type regs = {
+type 'c layout = {
   cfg : config;
   q : Quorum.t;  (** the thresholds derived from [cfg] (central arithmetic) *)
-  e : Cell.t array;
-  r : Cell.t array;
-  rjk : Cell.t array array; (** [rjk.(j).(k)]; column k = 0 unused *)
-  c : Cell.t array; (** [c.(0)] unused *)
+  e : 'c array;
+  r : 'c array;
+  rjk : 'c array array; (** [rjk.(j).(k)]; column k = 0 unused *)
+  c : 'c array; (** [c.(0)] unused *)
 }
+(** The register layout over any cell type. *)
 
-val alloc_with : Cell.allocator -> config -> regs
-(** Allocate through an arbitrary cell allocator (shared memory,
-    emulated, or regular — see [Lnd_runtime.Cell]). *)
+type regs = Cell.t layout
+(** The layout on the simulator. *)
+
+val alloc_with :
+  (name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> 'c) ->
+  config ->
+  'c layout
+(** Allocate through an arbitrary cell allocator, in the order E, R,
+    R_{j,k}, C: a {!Cell.allocator} (shared memory, emulated, or
+    regular — see [Lnd_runtime.Cell]) or the domains driver's
+    [Dcell.make]. *)
 
 val alloc : Lnd_shm.Space.t -> config -> regs
 
-val cell_of : regs -> Sticky_core.reg -> Cell.t
+val cell_of : 'c layout -> Sticky_core.reg -> 'c
 (** Map the pure core's abstract register names onto this layout (used
     by every driver that runs {!Sticky_core} programs over these
     cells). *)

@@ -32,20 +32,28 @@ let[@lnd.pure] check_config { n; f } =
    Section 8 deliberately instantiate the algorithm outside its safe zone
    (n <= 3f) to exhibit the impossibility of Theorem 23. *)
 
-type regs = {
+(* The layout is polymorphic in the cell type: Cell.t on the simulator,
+   Domains.Dcell.t on the domains driver. *)
+type 'c layout = {
   cfg : config;
   q : Quorum.t;
-  rstar : Cell.t;
-  r : Cell.t array;
-  rjk : Cell.t array array; (* rjk.(j).(k); row k = 0 unused *)
-  c : Cell.t array; (* c.(0) unused *)
+  rstar : 'c;
+  r : 'c array;
+  rjk : 'c array array; (* rjk.(j).(k); row k = 0 unused *)
+  c : 'c array; (* c.(0) unused *)
 }
+
+type regs = Cell.t layout
 
 module VSet = Value.Set
 
 (* Allocate the register layout through an arbitrary cell allocator: the
-   shared-memory one (the base model) or an emulated one (Section 9). *)
-let alloc_with (mk : Cell.allocator) (cfg : config) : regs =
+   shared-memory one (the base model), an emulated one (Section 9) or
+   the domains driver's. *)
+let alloc_with
+    (mk :
+      name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> 'c)
+    (cfg : config) : 'c layout =
   check_config cfg;
   let n = cfg.n in
   (* [make_relaxed]: Section 8 deliberately instantiates n <= 3f. *)
@@ -85,7 +93,7 @@ let alloc_with (mk : Cell.allocator) (cfg : config) : regs =
 let alloc space (cfg : config) : regs = alloc_with (Cell.shm_allocator space) cfg
 
 (* Map the core's abstract register names onto this layout. *)
-let cell_of (rg : regs) : Verifiable_core.reg -> Cell.t = function
+let cell_of (rg : 'c layout) : Verifiable_core.reg -> 'c = function
   | Verifiable_core.Rstar -> rg.rstar
   | Verifiable_core.R i -> rg.r.(i)
   | Verifiable_core.Rjk (j, k) -> rg.rjk.(j).(k)
@@ -158,18 +166,5 @@ let verify (rd : reader) (v : Value.t) : bool =
    VERIFY operations by maintaining the witness set R_pid and answering
    askers through R_{pid,k}. *)
 let help (rg : regs) ~pid : unit =
-  (* one HELP span per round actually serving askers; the core marks
-     those rounds with Serving/Served notes *)
-  let sp = ref 0 in
-  let on_note : Machine.note -> unit = function
-    | Machine.Serving askers ->
-        if Obs.enabled () then
-          sp :=
-            Obs.span_open ~name:"HELP"
-              ~arg:(String.concat "," (List.map string_of_int askers))
-              ()
-    | Machine.Served ->
-        if Obs.enabled () then Obs.span_close ~result:"done" ~name:"HELP" !sp
-  in
-  Drive.run ~on_note ~cell:(cell_of rg)
+  Drive.run ~on_note:(Drive.help_spans ()) ~cell:(cell_of rg)
     (Verifiable_core.help_prog ~n:rg.cfg.n ~q:rg.q ~pid)

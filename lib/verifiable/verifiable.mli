@@ -24,28 +24,36 @@ open Lnd_runtime
 
 type config = { n : int; f : int }
 
-type regs = {
+type 'c layout = {
   cfg : config;
   q : Quorum.t;  (** the thresholds derived from [cfg] (central arithmetic) *)
-  rstar : Cell.t;
-  r : Cell.t array;
-  rjk : Cell.t array array; (** [rjk.(j).(k)]; column k = 0 unused *)
-  c : Cell.t array; (** [c.(0)] unused *)
+  rstar : 'c;
+  r : 'c array;
+  rjk : 'c array array; (** [rjk.(j).(k)]; column k = 0 unused *)
+  c : 'c array; (** [c.(0)] unused *)
 }
+(** The register layout over any cell type. *)
+
+type regs = Cell.t layout
+(** The layout on the simulator. *)
 
 module VSet = Value.Set
 
-val alloc_with : Cell.allocator -> config -> regs
-(** Allocate the register layout through an arbitrary cell allocator: the
-    shared-memory one (the base model), an emulated one (Section 9), or
-    a regular-register one (E13). [alloc_with] deliberately does not
+val alloc_with :
+  (name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> 'c) ->
+  config ->
+  'c layout
+(** Allocate the register layout through an arbitrary cell allocator, in
+    the order R*, R, R_{j,k}, C: the shared-memory one (the base model),
+    an emulated one (Section 9), a regular-register one (E13), or the
+    domains driver's [Dcell.make]. [alloc_with] deliberately does not
     insist on n > 3f: the Section 8 optimality experiments instantiate
     the algorithm outside its safe zone on purpose. *)
 
 val alloc : Lnd_shm.Space.t -> config -> regs
 (** [alloc_with (Cell.shm_allocator space)]. *)
 
-val cell_of : regs -> Verifiable_core.reg -> Cell.t
+val cell_of : 'c layout -> Verifiable_core.reg -> 'c
 (** Map the pure core's abstract register names onto this layout (used
     by every driver that runs {!Verifiable_core} programs over these
     cells). *)

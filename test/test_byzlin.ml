@@ -5,6 +5,7 @@
 module History = Lnd_history.History
 module Spec = Lnd_history.Spec
 module Byzlin = Lnd_history.Byzlin
+module Verdict = Lnd_history.Verdict
 module V = Spec.Verifiable_spec
 module S = Spec.Sticky_spec
 module T = Spec.Testorset_spec
@@ -170,6 +171,48 @@ let test_testorset_correct_setter () =
     "1 without set rejected when setter correct" false
     (Byzlin.testorset ~setter:0 ~correct:all_correct h)
 
+(* ---------------- Verdict: monitors, op cap, then Byzlin ------------- *)
+
+let verdict =
+  Alcotest.testable
+    (fun fmt r ->
+      Format.pp_print_string fmt
+        (match r with
+        | Ok Verdict.Linearizable -> "Ok Linearizable"
+        | Ok Verdict.Monitors_only -> "Ok Monitors_only"
+        | Error m -> "Error " ^ m))
+    ( = )
+
+(* WRITE(a), then [reads] reads of a, one after another. *)
+let sequential_sticky reads =
+  sh
+    (sentry 0 (S.Write "a") 1 S.Done 2
+    :: List.init reads (fun i ->
+           sentry (1 + (i mod 3)) S.Read ((2 * i) + 3) (S.Val (Some "a"))
+             ((2 * i) + 4)))
+
+let test_verdict_op_cap () =
+  Alcotest.check verdict "14 ops: searched" (Ok Verdict.Linearizable)
+    (Verdict.sticky ~correct:all_correct (sequential_sticky 13));
+  Alcotest.check verdict "15 ops: over the cap" (Ok Verdict.Monitors_only)
+    (Verdict.sticky ~correct:all_correct
+       (sequential_sticky Verdict.op_cap))
+
+(* Bit monotonicity has no monitor to hide behind, so it must hold at
+   any size: TEST=1 strictly before TEST=0 is rejected past the cap. *)
+let test_verdict_testorset_over_cap () =
+  let h =
+    th
+      (tentry 0 T.Set 1 T.Done 2
+      :: tentry 1 T.Test 3 (T.Bit 1) 4
+      :: tentry 2 T.Test 5 (T.Bit 0) 6
+      :: List.init Verdict.op_cap (fun i ->
+             tentry 3 T.Test ((2 * i) + 7) (T.Bit 1) ((2 * i) + 8)))
+  in
+  match Verdict.testorset ~correct:all_correct h with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "TEST=1 then TEST=0 accepted over the cap"
+
 let tests =
   [
     Alcotest.test_case "verifiable: faulty-writer reads" `Quick
@@ -189,4 +232,7 @@ let tests =
     Alcotest.test_case "test-or-set: relay" `Quick test_testorset_relay;
     Alcotest.test_case "test-or-set: correct setter" `Quick
       test_testorset_correct_setter;
+    Alcotest.test_case "verdict: op cap boundary" `Quick test_verdict_op_cap;
+    Alcotest.test_case "verdict: test-or-set monotonicity over the cap"
+      `Quick test_verdict_testorset_over_cap;
   ]

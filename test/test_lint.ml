@@ -18,6 +18,7 @@ let strict =
     need_mli = false;
     durable = true;
     obs = true;
+    verdict = true;
   }
 
 let fixture name = Filename.concat "fixtures/lint" name
@@ -65,6 +66,11 @@ let test_obs () =
       ("obs-seam", 9);
     ]
     (lint "bad_obs.ml")
+
+let test_verdict () =
+  check "search budget handled outside Verdict flagged"
+    [ ("verdict-seam", 7); ("verdict-seam", 9) ]
+    (lint "bad_verdict.ml")
 
 let test_swallow () =
   check "catch-all handler flagged"
@@ -161,7 +167,11 @@ let test_default_ctx () =
   let b = Rules.default_ctx ~path:"bin/lnd_cli.ml" in
   Alcotest.(check bool) "bin: no .mli demanded" false b.Rules.need_mli;
   Alcotest.(check bool) "bin: no seam rule" false b.Rules.seam;
-  Alcotest.(check bool) "bin: no obs rule" false b.Rules.obs
+  Alcotest.(check bool) "bin: no obs rule" false b.Rules.obs;
+  Alcotest.(check bool) "bin: verdict rule on" true b.Rules.verdict;
+  let h = Rules.default_ctx ~path:"lib/history/verdict.ml" in
+  Alcotest.(check bool) "verdict.ml: verdict-exempt (IS the handler)" false
+    h.Rules.verdict
 
 (* The acceptance gate: the real tree, linted with the real contexts,
    has zero findings. Skipped when the sources are not reachable from
@@ -188,6 +198,7 @@ let tests =
     Alcotest.test_case "transport-seam fixture" `Quick test_seam;
     Alcotest.test_case "durable-seam fixture" `Quick test_durable;
     Alcotest.test_case "obs-seam fixture" `Quick test_obs;
+    Alcotest.test_case "verdict-seam fixture" `Quick test_verdict;
     Alcotest.test_case "exception-swallowing fixture" `Quick test_swallow;
     Alcotest.test_case "model-checker determinism fixture" `Quick
       test_explore_fixture;

@@ -114,6 +114,7 @@ let test_sem_suppression_hygiene () =
           need_mli = false;
           durable = false;
           obs = false;
+          verdict = false;
         }
       "fixtures/lint/suppressed_sem.ml"
   in
@@ -146,6 +147,7 @@ let test_combined_golden () =
           need_mli = false;
           durable = false;
           obs = false;
+          verdict = false;
         }
       "fixtures/lint/bad_determinism.ml"
   in
