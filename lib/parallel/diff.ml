@@ -395,10 +395,11 @@ let check_golden path : (int * string * string) list =
 
 (* ---------------- Trace parity (both drivers) ---------------- *)
 
-(* Keep only operation spans. The help daemons spin on the domains
-   backend, so their Shm_access volume is unbounded and nondeterministic
-   — it would overflow any fixed arena — while the spans the parity fold
-   actually consumes are bounded by the workload. *)
+(* Keep only operation spans. On the domains backend the help daemons'
+   polling is bounded by park-on-yield but still depends on how the
+   domains race, so their Shm_access volume is nondeterministic, while
+   the spans the parity fold actually consumes are fixed by the
+   workload. *)
 let parity_keep (e : Obs.event) : bool =
   match e.kind with
   | Obs.Span_open _ | Obs.Span_close _ -> true

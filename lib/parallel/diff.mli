@@ -149,10 +149,10 @@ val sim_line : work -> string
     and a direct [Ok] forces a trace [Ok]. *)
 
 val parity_keep : Lnd_obs.Obs.event -> bool
-(** Keep only operation spans: the help daemons spin on the domains
-    backend, so their [Shm_access] volume is unbounded and would
-    overflow any fixed arena, while span volume is bounded by the
-    workload. *)
+(** Keep only operation spans: on the domains backend the help daemons'
+    polling is bounded by park-on-yield but still depends on how the
+    domains race, so their [Shm_access] volume is nondeterministic,
+    while span volume is fixed by the workload. *)
 
 type trace_info = {
   t_ops : int;  (** completed operations in the trace-derived history *)

@@ -6,8 +6,13 @@
     logical clock stamping operation intervals for the history. Within a
     domain the process's machines (current operation + background
     daemons) interleave cooperatively at Yield points; across domains
-    the interleaving is whatever the hardware produces. See DESIGN.md,
-    "Pure cores and drivers". *)
+    the interleaving is whatever the hardware produces.
+
+    Idle machines park: a pass that ends in a yield with no register
+    written anywhere since the pass began leaves its machine parked
+    until the run's write epoch moves (see {!Lnd_support.Machine.yield}),
+    and a domain whose machines are all parked sleeps instead of
+    re-polling. See DESIGN.md, "Pure cores and drivers". *)
 
 open Lnd_support
 
@@ -64,8 +69,10 @@ val daemon :
 type t
 
 val create : ?step_budget:int -> unit -> t
-(** [step_budget] bounds Machine steps per domain, turning deadlock or
-    divergence into [Error] instead of a hang. *)
+(** [step_budget] bounds Machine steps per domain, turning a run that
+    diverges while writing into [Error] instead of a hang. Parked
+    machines take no steps; a run that can no longer write at all is
+    caught as a livelock by {!run}, not by the budget. *)
 
 val now : t -> int
 
@@ -80,6 +87,13 @@ val add_process : t -> pid:int -> ?daemons:daemon list -> job list -> unit
 
 val run : t -> (int, string) result
 (** Spawns one domain per registered process, joins them all. [Ok steps]
-    (total machine steps across domains) once every job completed;
-    [Error _] if a correct machine raised, a budget was exhausted, or
-    jobs were left incomplete. *)
+    (total machine steps across domains) once every job completed.
+    [Error _] when:
+    - a correct machine raised ("correct machine <label> failed: ...");
+    - a domain's step budget ran out ("p<pid>: domain step budget
+      exhausted (stepping <label>)");
+    - every live domain is blocked with every machine parked on the
+      current write epoch, so nothing can ever write again ("livelock at
+      write epoch <e>: every machine parked (p1: p1-op, help1; p2:
+      help2)"), reported as soon as the last domain blocks;
+    - jobs were left incomplete. *)

@@ -25,7 +25,18 @@ type ('reg, 'a) prog =
 val ret : 'a -> ('reg, 'a) prog
 val read : 'reg -> ('reg, Univ.t) prog
 val write : 'reg -> Univ.t -> ('reg, unit) prog
+
 val yield : ('reg, unit) prog
+(** A voluntary scheduling point that means "nothing to do until some
+    register changes": every core yields only at the end of a poll pass
+    whose outcome depends on register contents alone, so the same pass
+    repeated over unchanged registers would read the same values and
+    yield again. A driver may therefore park a machine whose last pass
+    ended in a yield with no register written by anyone since the pass
+    began, until the next write (Sched's park-on-yield mode; the domains
+    driver always). A program that yields to wait for anything other
+    than a register write would starve under such a driver. *)
+
 val note : note -> ('reg, unit) prog
 val bind : ('reg, 'a) prog -> ('a -> ('reg, 'b) prog) -> ('reg, 'b) prog
 val ( let* ) : ('reg, 'a) prog -> ('a -> ('reg, 'b) prog) -> ('reg, 'b) prog

@@ -73,23 +73,38 @@ let check_parity ~backend w (r : Diff.run) (ti : Diff.trace_info) =
       "%s trace-derived history has %d ops, direct has %d, for [%s]" backend
       ti.Diff.t_ops r.Diff.ops (Diff.describe w)
 
+(* Aggregate machine steps per completed operation the domains driver
+   may spend over a sweep. Parked machines take no steps, so a driver
+   that re-polled unchanged registers would blow far past this; summing
+   over the seeds keeps the bound robust to real preemption. *)
+let max_domains_steps_per_op = 1_000
+
 (* The headline: the same seed-derived workloads — honest, Byzantine
    (scripted genomes) and mixed — through both drivers, every history
    accepted by the same spec-level checkers, and on each driver the
    trace-derived history agrees with the direct one. *)
 let test_agreement proto () =
-  List.iter
-    (fun seed ->
-      let w = Diff.generate ~proto seed in
-      let s, st = Diff.sim_traced w in
-      check_parity ~backend:"sim" w s st;
-      let p, pt = Parallel.run_traced w in
-      check_parity ~backend:"domains" w p pt;
-      if p.Diff.ops <> s.Diff.ops then
-        Alcotest.failf
-          "backends completed different op counts for [%s]: sim=%d domains=%d"
-          (Diff.describe w) s.Diff.ops p.Diff.ops)
-    seeds
+  let steps, ops =
+    List.fold_left
+      (fun (steps, ops) seed ->
+        let w = Diff.generate ~proto seed in
+        let s, st = Diff.sim_traced w in
+        check_parity ~backend:"sim" w s st;
+        let p, pt = Parallel.run_traced w in
+        check_parity ~backend:"domains" w p pt;
+        if p.Diff.ops <> s.Diff.ops then
+          Alcotest.failf
+            "backends completed different op counts for [%s]: sim=%d \
+             domains=%d"
+            (Diff.describe w) s.Diff.ops p.Diff.ops;
+        (steps + p.Diff.steps, ops + p.Diff.ops))
+      (0, 0) seeds
+  in
+  if steps > max_domains_steps_per_op * ops then
+    Alcotest.failf
+      "domains driver took %d steps for %d ops (%d/op > %d): idle machines \
+       are re-polling"
+      steps ops (steps / max ops 1) max_domains_steps_per_op
 
 (* Broken-core fixtures: the same drivers, the same checkers, a core
    with its final decision step corrupted — the suite must go red. The

@@ -1,5 +1,7 @@
 (* Unit tests for the effects-based scheduler: atomic step semantics,
-   fairness, determinism, masks, kills, and the bounded explorer. *)
+   fairness, determinism, masks, kills, and the bounded explorer; and for
+   the domains driver's park-on-yield: cross-domain wake, livelock
+   detection, budget exhaustion, non-critical daemon failure. *)
 
 open Lnd_support
 open Lnd_shm
@@ -260,6 +262,145 @@ let test_swarm_sticky_uniqueness () =
   Alcotest.(check int) "all 50 schedules ran" 50 r.Explore.runs;
   Alcotest.(check int) "none pruned" 0 r.Explore.pruned
 
+(* ---------------- Domains driver ---------------- *)
+
+module Dcell = Domains.Dcell
+
+let flag () = Dcell.make ~name:"X" ~init:(Univ.inj Univ.int 0)
+let is_set c = Univ.prj_default Univ.int ~default:0 (Dcell.read c) <> 0
+
+(* Read X, yield while it is unset: one two-step pass per poll. *)
+let rec poll_prog () : (unit, unit) Machine.prog =
+  let open Machine in
+  let* u = read () in
+  if Univ.prj_default Univ.int ~default:0 u <> 0 then ret ()
+  else
+    let* () = yield in
+    poll_prog ()
+
+let set_prog : (unit, unit) Machine.prog =
+  Machine.write () (Univ.inj Univ.int 1)
+
+let unit_job x prog =
+  Domains.job ~cell:(fun () -> x) ~finish:(fun ~inv:_ ~ret:_ () -> ()) prog
+
+let test_domains_wake () =
+  let x = flag () in
+  let d = Domains.create () in
+  Domains.add_process d ~pid:0 [ unit_job x (fun () -> set_prog) ];
+  Domains.add_process d ~pid:1 [ unit_job x poll_prog ];
+  match Domains.run d with
+  | Error m -> Alcotest.failf "run failed: %s" m
+  | Ok steps ->
+      (* the writer's one step, plus at most two poll passes: the first
+         either sees X or parks until the write moves the epoch *)
+      Alcotest.(check bool) "X written" true (is_set x);
+      if steps > 8 then Alcotest.failf "%d steps: the poller re-polled" steps
+
+(* The same wake, forced to happen after the poller has polled: p1
+   raises Y before polling X, and p0 writes X only once it sees Y. Each
+   side parks on its flag at most once, so p0 makes at most two passes
+   and p1 at most three (the first ends after its own write). *)
+let test_domains_handshake () =
+  let x = flag () and y = Dcell.make ~name:"Y" ~init:(Univ.inj Univ.int 0) in
+  let cell = function `X -> x | `Y -> y in
+  let rec await r : ([ `X | `Y ], unit) Machine.prog =
+    let open Machine in
+    let* u = read r in
+    if Univ.prj_default Univ.int ~default:0 u <> 0 then ret ()
+    else
+      let* () = yield in
+      await r
+  in
+  let job prog =
+    Domains.job ~cell ~finish:(fun ~inv:_ ~ret:_ () -> ()) (fun () -> prog)
+  in
+  let open Machine in
+  let d = Domains.create () in
+  Domains.add_process d ~pid:0
+    [ job (let* () = await `Y in write `X (Univ.inj Univ.int 1)) ];
+  Domains.add_process d ~pid:1
+    [ job (let* () = write `Y (Univ.inj Univ.int 1) in await `X) ];
+  match Domains.run d with
+  | Error m -> Alcotest.failf "run failed: %s" m
+  | Ok steps ->
+      if steps > 10 then Alcotest.failf "%d steps: a waiter re-polled" steps
+
+let test_domains_livelock () =
+  let n = 4 and f = 1 in
+  let cells =
+    Lnd_sticky.Sticky.(
+      cell_of
+        (alloc_with
+           (fun ~name ~owner:_ ?single_reader:_ ~init () ->
+             Dcell.make ~name ~init)
+           { n; f }))
+  in
+  let q = Quorum.make_relaxed ~n ~f in
+  let d = Domains.create () in
+  Domains.add_process d ~pid:0
+    ~daemons:
+      [
+        Domains.daemon ~label:"help0" ~cell:cells
+          (Lnd_sticky.Sticky_core.help_prog ~n ~q ~pid:0);
+      ]
+    [];
+  Domains.add_process d ~pid:1 [ unit_job (flag ()) poll_prog ];
+  let wall () =
+    (Unix.gettimeofday ()
+    [@lnd.allow
+      "determinism: bounds how long the livelock takes to report; no \
+       verdict depends on this value"])
+  in
+  let t0 = wall () in
+  let r = Domains.run d in
+  let dt = wall () -. t0 in
+  (* an idle Help writes nothing, so no register is ever written *)
+  (match r with
+  | Ok _ -> Alcotest.fail "nobody writes X: the poller cannot finish"
+  | Error m ->
+      Alcotest.(check string)
+        "names the epoch and every parked machine"
+        "livelock at write epoch 0: every machine parked (p0: help0; p1: \
+         p1-op)"
+        m);
+  if dt >= 1.0 then Alcotest.failf "livelock took %.2fs to report" dt
+
+let test_domains_budget () =
+  (* a loop that diverges while writing never parks: the budget stops it *)
+  let rec spin () : (unit, unit) Machine.prog =
+    let open Machine in
+    let* () = write () (Univ.inj Univ.int 1) in
+    let* () = yield in
+    spin ()
+  in
+  let d = Domains.create ~step_budget:1000 () in
+  Domains.add_process d ~pid:0 [ unit_job (flag ()) spin ];
+  match Domains.run d with
+  | Ok _ -> Alcotest.fail "expected budget exhaustion"
+  | Error m ->
+      Alcotest.(check string)
+        "names the stepping machine"
+        "p0: domain step budget exhausted (stepping p0-op)" m
+
+let test_domains_noncritical_daemon () =
+  let x = flag () in
+  let d = Domains.create () in
+  let boom : (unit, unit) Machine.prog =
+    let open Machine in
+    let* _ = read () in
+    failwith "boom"
+  in
+  Domains.add_process d ~pid:0 [ unit_job x (fun () -> set_prog) ];
+  Domains.add_process d ~pid:1 [ unit_job x poll_prog ];
+  Domains.add_process d ~pid:2
+    ~daemons:
+      [ Domains.daemon ~label:"byz2" ~critical:false ~cell:(fun () -> x) boom ]
+    [];
+  match Domains.run d with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "a Byzantine daemon failed the run: %s" m
+
 let tests =
   [
     Alcotest.test_case "basic run" `Quick test_basic_run;
@@ -281,4 +422,14 @@ let tests =
     Alcotest.test_case "self pid" `Quick test_self;
     Alcotest.test_case "explorer covers interleavings" `Quick
       test_explore_race;
+    Alcotest.test_case "domains: a write wakes a parked poller" `Quick
+      test_domains_wake;
+    Alcotest.test_case "domains: a handshake parks each side at most once"
+      `Quick test_domains_handshake;
+    Alcotest.test_case "domains: livelock is reported, not spun" `Quick
+      test_domains_livelock;
+    Alcotest.test_case "domains: budget names the stepping machine" `Quick
+      test_domains_budget;
+    Alcotest.test_case "domains: non-critical daemon failure is contained"
+      `Quick test_domains_noncritical_daemon;
   ]
