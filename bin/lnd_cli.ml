@@ -903,37 +903,14 @@ let diff_cmd_run write_golden check_golden seeds from proto_s backend_s traced
                 match ti with
                 | None -> ()
                 | Some ti ->
-                    (* The trace-parity axis: the merged trace must be
-                       complete, well-nested, and fold — through
-                       Trace_replay — to the same number of operations
-                       and an accepted history whenever the direct one
-                       was accepted. *)
-                    let problems =
-                      (match ti.Diff.t_nesting with
-                      | Some m -> [ "ill-nested: " ^ m ]
-                      | None -> [])
-                      @ (if ti.Diff.t_dropped > 0 then
-                           [ Printf.sprintf "dropped=%d" ti.Diff.t_dropped ]
-                         else [])
-                      @ (if ti.Diff.t_ops <> r.Diff.ops then
-                           [
-                             Printf.sprintf "trace ops=%d direct ops=%d"
-                               ti.Diff.t_ops r.Diff.ops;
-                           ]
-                         else [])
-                      @
-                      match (r.Diff.verdict, ti.Diff.t_verdict) with
-                      | Ok (), Error m -> [ "trace verdict: " ^ m ]
-                      | _ -> []
-                    in
-                    (match problems with
-                    | [] ->
+                    (* The trace-parity axis, judged by Diff.parity. *)
+                    (match Diff.parity r ti with
+                    | Ok () ->
                         pr "     trace[%s] events=%d ops=%d well-nested\n"
                           bname ti.Diff.t_events ti.Diff.t_ops
-                    | ps ->
+                    | Error m ->
                         incr failed;
-                        pr "FAIL trace[%s] %s: %s\n" bname (Diff.describe w)
-                          (String.concat "; " ps));
+                        pr "FAIL trace[%s] %s: %s\n" bname (Diff.describe w) m);
                     match trace_out with
                     | None -> ()
                     | Some dir ->

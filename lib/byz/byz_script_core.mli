@@ -2,9 +2,10 @@
 
     The genome interpreter (see {!Byz_script} for the gene layout) as
     policies over the {!Byz_core} responder, on the sticky / verifiable
-    register names. {!Byz_script} spawns these on the simulator; [Lnd_parallel]
-    runs the same genomes on OCaml 5 domains, so a scripted adversary
-    misbehaves identically — access for access — on both backends. *)
+    register names. {!Byz_script} spawns these on the simulator for the
+    register facades; [Lnd_parallel.Diff.plan] puts the same genomes in
+    the one plan both drivers run, so a scripted adversary misbehaves
+    identically — access for access — on both backends. *)
 
 open Lnd_support
 

@@ -1,9 +1,10 @@
 (* Differential conformance suite: one seed derives one workload (system
-   size, Byzantine genome scripts, per-reader programs) that is executed
-   by BOTH backends — the deterministic effects-based simulator (driver
-   #1) and the OCaml 5 domains backend (driver #2, Parallel) — and each
-   run is folded into a Lnd_history op history and judged by the same
-   monitors + Byzantine-linearizability checkers.
+   size, Byzantine genome scripts, per-reader programs) whose machines
+   are built once, as a plan, and executed by BOTH backends — the
+   deterministic effects-based simulator (driver #1) and the OCaml 5
+   domains backend (driver #2, Parallel) — and each run is folded into a
+   Lnd_history op history and judged by the same monitors +
+   Byzantine-linearizability checkers.
 
    The suite asserts three things:
    - the sim run is accepted (monitors + Byzlin) and its history renders
@@ -29,7 +30,14 @@ module Verdict = Lnd_history.Verdict
 module Trace_replay = Lnd_history.Trace_replay
 module Obs = Lnd_obs.Obs
 module Trace = Lnd_obs.Trace
-module Byz_script = Lnd_byz.Byz_script
+module Plan = Lnd_runtime.Plan
+module Drive = Lnd_runtime.Drive
+module Sticky = Lnd_sticky.Sticky
+module Verifiable = Lnd_verifiable.Verifiable
+module S_core = Lnd_sticky.Sticky_core
+module V_core = Lnd_verifiable.Verifiable_core
+module T_core = Lnd_testorset.Testorset_core
+module B_core = Lnd_byz.Byz_script_core
 
 type proto = Sticky | Verifiable | Testorset
 
@@ -207,7 +215,16 @@ let render_testorset h : string =
           ~res:(function T.Done -> "done" | T.Bit b -> string_of_int b))
        (History.entries h))
 
-(* ---------------- Driver #1: the deterministic simulator ---------------- *)
+(* ---------------- One plan, two executors ---------------- *)
+
+type 'c plan = {
+  correct : bool array;
+  daemons : (int * 'c Plan.daemon) list;
+  clients : (int * string * 'c Plan.job list) list;
+  verdict : unit -> (unit, string) result;
+  ops : unit -> int;
+  rendered : unit -> string;
+}
 
 type system = {
   sched : Sched.t;
@@ -224,6 +241,231 @@ type run = {
   verdict : (unit, string) result;
   rendered : string; (* canonical history *)
 }
+
+(* The value broken readers claim; never written by any workload, so the
+   validity monitors reject it on sight. *)
+let broken_value : Value.t = "zzz"
+
+(* One recorded operation of [pid]: its history entry is pushed onto the
+   pid's own slot at invocation and completed at response, so each slot
+   is written by one process only (one domain, on the domains driver). *)
+let record recs ~cell ~pid ~span op res prog : 'c Plan.job =
+  let e = ref History.{ pid; op; inv = 0; ret = None } in
+  let inv t =
+    e := { !e with inv = t };
+    recs.(pid) <- !e :: recs.(pid)
+  in
+  let ret t a = !e.History.ret <- Some (res a, t) in
+  Plan.Job { prog; cell; span = Some span; inv; ret }
+
+(* A register layout's daemons, over its own register names: Help() for
+   a correct pid, and a genome script for a scripted one. *)
+let daemons cell help script =
+  let daemon label on_note prog = Plan.Daemon { label; prog; cell; on_note } in
+  ( (fun pid ->
+      daemon (Printf.sprintf "help%d" pid) (Drive.help_spans ()) (help ~pid)),
+    fun ~value (pid, g) ->
+      let genome = Array.of_list g in
+      daemon (Printf.sprintf "byz-script%d" pid) ignore
+        (script ~pid ~genome ~value) )
+
+(* What every protocol shares: a help daemon per correct pid in
+   ascending order, then the genome scripts; the writer's jobs if the
+   writer is correct, then one client per program; and the verdict, op
+   count and rendering over the per-pid history slots. *)
+let assemble (type o r) (w : work) correct
+    (recs : (o, r) History.entry list array) ~daemons:(help, script) ~check
+    ~render ~writer ~prefix writes item : 'c plan =
+  let client (pid, prog) =
+    (pid, Printf.sprintf "%s%d" prefix pid, List.map (item pid) prog)
+  in
+  let history () = { History.entries = List.concat (Array.to_list recs) } in
+  {
+    correct;
+    daemons =
+      List.filter_map
+        (fun pid -> if correct.(pid) then Some (pid, help pid) else None)
+        (List.init w.n Fun.id)
+      @ List.map
+          (fun s -> (fst s, script ~value:w.script_value s))
+          w.scripts;
+    clients =
+      (if correct.(0) then [ (0, writer, writes) ] else [])
+      @ List.map client w.programs;
+    verdict = (fun () -> check ~correct:(Array.get correct) (history ()));
+    ops = (fun () -> List.length (History.complete_entries (history ())));
+    rendered = (fun () -> render (history ()));
+  }
+
+let plan ?byzantine ?(broken = false) (w : work) mk : 'c plan =
+  let n = w.n and f = w.f in
+  let q = Quorum.make_relaxed ~n ~f in
+  let correct = Array.make n true in
+  List.iter
+    (fun pid -> correct.(pid) <- false)
+    (Option.value byzantine ~default:(byzantine_pids w));
+  let values =
+    List.init w.writes (fun i -> value_pool.(i mod Array.length value_pool))
+  in
+  (* The single corruption: a reader's final decision replaced, its
+     register accesses and termination kept. *)
+  let lie f prog =
+    if broken then Machine.(let* a = prog in ret (f a)) else prog
+  in
+  let bad proto = invalid_arg ("Diff: " ^ proto ^ " program") in
+  let done_ _ = "done" in
+  match w.proto with
+  | Sticky ->
+      let module S = Lnd_history.Spec.Sticky_spec in
+      let cell = Sticky.(cell_of (alloc_with mk { n; f })) in
+      let recs = Array.make n [] in
+      let job ~pid ~span op res p = record recs ~cell ~pid ~span op res p in
+      let write v =
+        job ~pid:0 ~span:("WRITE", Some v, done_) (S.Write v)
+          (fun () -> S.Done)
+          (fun () -> S_core.write_prog ~n ~q v)
+      in
+      let read ~pid ck =
+        job ~pid
+          ~span:("READ", None, function None, _ -> "⊥" | Some v, _ -> "v:" ^ v)
+          S.Read
+          (fun (v, ck') ->
+            ck := ck';
+            S.Val v)
+          (fun () ->
+            lie
+              (fun (_, ck') -> (Some broken_value, ck'))
+              (S_core.read_prog ~n ~q ~pid ~ck:!ck))
+      in
+      assemble w correct recs
+        ~daemons:(daemons cell (S_core.help_prog ~n ~q) (B_core.sticky_prog ~n))
+        ~check:check_sticky_history ~render:render_sticky ~writer:"writer"
+        ~prefix:"r" (List.map write values) (fun pid ->
+          let ck = ref 0 in
+          function I_read -> read ~pid ck | I_verify _ | I_test -> bad "sticky")
+  | Verifiable ->
+      let module V = Lnd_history.Spec.Verifiable_spec in
+      let cell = Verifiable.(cell_of (alloc_with mk { n; f })) in
+      let recs = Array.make n [] in
+      let job ~pid ~span op res p = record recs ~cell ~pid ~span op res p in
+      let written = ref Value.Set.empty in
+      let write v =
+        [
+          job ~pid:0 ~span:("WRITE", Some v, done_) (V.Write v)
+            (fun () ->
+              written := Value.Set.add v !written;
+              V.Done)
+            (fun () -> V_core.write_prog v);
+          job ~pid:0 ~span:("SIGN", Some v, string_of_bool) (V.Sign v)
+            (fun ok -> V.Signed ok)
+            (fun () -> V_core.sign_prog ~written:!written v);
+        ]
+      in
+      let item pid =
+        let ck = ref 0 in
+        function
+        | I_read ->
+            job ~pid ~span:("READ", None, fun v -> "v:" ^ v) V.Read
+              (fun v -> V.Val v)
+              (fun () -> lie (fun _ -> broken_value) V_core.read_prog)
+        | I_verify v ->
+            job ~pid
+              ~span:("VERIFY", Some v, fun (ok, _) -> string_of_bool ok)
+              (V.Verify v)
+              (fun (ok, ck') ->
+                ck := ck';
+                V.Verified ok)
+              (fun () ->
+                lie
+                  (fun (_, ck') -> (true, ck'))
+                  (V_core.verify_prog ~n ~q ~pid ~ck:!ck v))
+        | I_test -> bad "verifiable"
+      in
+      assemble w correct recs
+        ~daemons:
+          (daemons cell (V_core.help_prog ~n ~q) (B_core.verifiable_prog ~n))
+        ~check:check_verifiable_history ~render:render_verifiable
+        ~writer:"writer" ~prefix:"r"
+        (List.concat_map write values) item
+  | Testorset ->
+      let module T = Lnd_history.Spec.Testorset_spec in
+      let v = w.tos_verifiable in
+      (* Only the register the construction uses is allocated. Its daemons
+         (Help, scripted adversaries) run over its own names; SET and
+         TEST over the composed namespace. *)
+      let other _ = invalid_arg "Diff: register outside the construction" in
+      let cell, daemons =
+        if v then
+          let c = Verifiable.(cell_of (alloc_with mk { n; f })) in
+          ( (function T_core.Vreg r -> c r | T_core.Sreg r -> other r),
+            daemons c (V_core.help_prog ~n ~q) (B_core.verifiable_prog ~n) )
+        else
+          let c = Sticky.(cell_of (alloc_with mk { n; f })) in
+          ( (function T_core.Sreg r -> c r | T_core.Vreg r -> other r),
+            daemons c (S_core.help_prog ~n ~q) (B_core.sticky_prog ~n) )
+      in
+      let recs = Array.make n [] in
+      let job ~pid ~span op res p = record recs ~cell ~pid ~span op res p in
+      let written = ref Value.Set.empty in
+      let set _ =
+        if v then
+          job ~pid:0 ~span:("SET", None, done_) T.Set
+            (fun (signed, written') ->
+              written := written';
+              if not signed then failwith "SET: sign failed for correct setter";
+              T.Done)
+            (fun () -> T_core.set_verifiable_prog ~written:!written)
+        else
+          job ~pid:0 ~span:("SET", None, done_) T.Set
+            (fun () -> T.Done)
+            (fun () -> T_core.set_sticky_prog ~n ~q)
+      in
+      let test ~pid ck =
+        job ~pid
+          ~span:("TEST", None, fun (bit, _) -> string_of_int bit)
+          T.Test
+          (fun (bit, ck') ->
+            ck := ck';
+            T.Bit bit)
+          (fun () ->
+            (* bit 2 is outside the spec's alphabet: no linearization
+               can ever produce it *)
+            lie
+              (fun (_, ck') -> (2, ck'))
+              ((if v then T_core.test_verifiable_prog
+                else T_core.test_sticky_prog)
+                 ~n ~q ~pid ~ck:!ck))
+      in
+      assemble w correct recs ~daemons ~check:check_testorset_history
+        ~render:render_testorset ~writer:"setter" ~prefix:"t"
+        (List.map set values) (fun pid ->
+          let ck = ref 0 in
+          function
+          | I_test -> test ~pid ck | I_read | I_verify _ -> bad "testorset")
+
+(* ---------------- Driver #1: the deterministic simulator ---------------- *)
+
+(* A fresh Space and Sched, then the plan over shared-memory cells: its
+   daemons as daemon fibers, each client as one fiber running its jobs,
+   spawned in plan order. The order is load-bearing: it fixes fiber ids,
+   hence schedules and DPOR counts. *)
+let system ?byzantine (w : work) (policy : Policy.t) : system =
+  let space = Lnd_shm.Space.create ~n:w.n in
+  let sched = Sched.create ~space ~choose:policy in
+  let p = plan ?byzantine w (Lnd_runtime.Cell.shm_allocator space) in
+  let spawn ~daemon pid name body =
+    ignore (Sched.spawn sched ~pid ~name ~daemon body)
+  in
+  List.iter
+    (fun (pid, (Plan.Daemon { label; _ } as d)) ->
+      spawn ~daemon:true pid label (fun () -> Drive.daemon d))
+    p.daemons;
+  List.iter
+    (fun (pid, name, jobs) ->
+      spawn ~daemon:false pid name (fun () -> List.iter Drive.job jobs))
+    p.clients;
+  let ({ correct; verdict; ops; rendered; _ } : _ plan) = p in
+  { sched; space; correct; verdict; ops; rendered }
 
 let sim_max_steps = 8_000_000
 
@@ -250,84 +492,6 @@ let settle ~correct sched (verdict : unit -> ('a, string) result) :
       | None -> verdict ())
 
 let policy_of (w : work) = Policy.random ~seed:((w.seed * 31) + 17)
-
-(* Spawn order is load-bearing (it fixes fiber ids, hence schedules and
-   DPOR counts): help daemons (inside [make]), then [wire]'s scripts,
-   writer and readers. *)
-let system ?byzantine (w : work) (policy : Policy.t) : system =
-  let byzantine = Option.value byzantine ~default:(byzantine_pids w) in
-  let wire sched space (correct : bool array) h ~check ~render ~script
-      ~writer ~prefix ~write item : system =
-    List.iter
-      (fun (pid, genome) ->
-        ignore (script (Byz_script.make ~pid ~genome ~value:w.script_value)))
-      w.scripts;
-    if correct.(0) then
-      ignore
-        (Sched.spawn sched ~pid:0 ~name:writer (fun () ->
-             for i = 0 to w.writes - 1 do
-               write value_pool.(i mod Array.length value_pool)
-             done));
-    List.iter
-      (fun (pid, prog) ->
-        ignore
-          (Sched.spawn sched ~pid ~name:(Printf.sprintf "%s%d" prefix pid)
-             (fun () -> List.iter (item pid) prog)))
-      w.programs;
-    {
-      sched;
-      space;
-      correct;
-      verdict = (fun () -> check ~correct:(fun pid -> correct.(pid)) h);
-      ops = (fun () -> List.length (History.complete_entries h));
-      rendered = (fun () -> render h);
-    }
-  in
-  let bad proto = invalid_arg ("Diff: " ^ proto ^ " program") in
-  let n = w.n and f = w.f in
-  match w.proto with
-  | Sticky ->
-      let module Sys = Lnd_sticky.System in
-      let t = Sys.make ~policy ~byzantine ~n ~f () in
-      wire t.sched t.space t.correct t.history ~check:check_sticky_history
-        ~render:render_sticky
-        ~script:(Byz_script.spawn_sticky t.sched t.regs)
-        ~writer:"writer" ~prefix:"r"
-        ~write:(Sys.op_write t) (fun pid -> function
-        | I_read -> ignore (Sys.op_read t ~pid)
-        | I_verify _ | I_test -> bad "sticky")
-  | Verifiable ->
-      let module Sys = Lnd_verifiable.System in
-      let t = Sys.make ~policy ~byzantine ~n ~f () in
-      wire t.sched t.space t.correct t.history ~check:check_verifiable_history
-        ~render:render_verifiable
-        ~script:(Byz_script.spawn_verifiable t.sched t.regs)
-        ~writer:"writer" ~prefix:"r"
-        ~write:(fun v ->
-          Sys.op_write t v;
-          ignore (Sys.op_sign t v))
-        (fun pid -> function
-        | I_read -> ignore (Sys.op_read t ~pid)
-        | I_verify v -> ignore (Sys.op_verify t ~pid v)
-        | I_test -> bad "verifiable")
-  | Testorset ->
-      let module Sys = Lnd_testorset.Testorset in
-      let impl =
-        if w.tos_verifiable then Sys.Verifiable_based else Sys.Sticky_based
-      in
-      let t = Sys.make ~policy ~byzantine ~impl ~n ~f () in
-      let script =
-        match t.backend with
-        | Sys.B_sticky (regs, _, _) -> Byz_script.spawn_sticky t.sched regs
-        | Sys.B_verifiable (regs, _, _) ->
-            Byz_script.spawn_verifiable t.sched regs
-      in
-      wire t.sched t.space t.correct t.history ~check:check_testorset_history
-        ~render:render_testorset ~script ~writer:"setter" ~prefix:"t"
-        ~write:(fun _ -> Sys.op_set t)
-        (fun pid -> function
-        | I_test -> ignore (Sys.op_test t ~pid)
-        | I_read | I_verify _ -> bad "testorset")
 
 let sim (w : work) : run =
   let s = system w (policy_of w) in
@@ -418,20 +582,16 @@ let fold_trace (w : work) (tr : Trace.t) : trace_info =
   let byz = byzantine_pids w in
   let correct pid = not (List.mem pid byz) in
   let evs = Trace.events tr in
+  let judge check h =
+    (List.length (History.complete_entries h), check ~correct h)
+  in
   let t_ops, t_verdict =
     match w.proto with
-    | Sticky ->
-        let h = Trace_replay.sticky_history evs in
-        ( List.length (History.complete_entries h),
-          check_sticky_history ~correct h )
+    | Sticky -> judge check_sticky_history (Trace_replay.sticky_history evs)
     | Verifiable ->
-        let h = Trace_replay.verifiable_history evs in
-        ( List.length (History.complete_entries h),
-          check_verifiable_history ~correct h )
+        judge check_verifiable_history (Trace_replay.verifiable_history evs)
     | Testorset ->
-        let h = Trace_replay.testorset_history evs in
-        ( List.length (History.complete_entries h),
-          check_testorset_history ~correct h )
+        judge check_testorset_history (Trace_replay.testorset_history evs)
   in
   {
     t_ops;
@@ -441,6 +601,21 @@ let fold_trace (w : work) (tr : Trace.t) : trace_info =
     t_events = Trace.size tr;
     t_trace = tr;
   }
+
+let parity (r : run) (ti : trace_info) : (unit, string) result =
+  let problems =
+    Option.to_list (Option.map (( ^ ) "ill-nested: ") ti.t_nesting)
+    @ (if ti.t_dropped > 0 then [ Printf.sprintf "dropped=%d" ti.t_dropped ]
+       else [])
+    @ (if ti.t_ops <> r.ops then
+         [ Printf.sprintf "trace ops=%d direct ops=%d" ti.t_ops r.ops ]
+       else [])
+    @
+    match (r.verdict, ti.t_verdict) with
+    | Ok (), Error m -> [ "trace verdict: " ^ m ]
+    | _ -> []
+  in
+  if problems = [] then Ok () else Error (String.concat "; " problems)
 
 let sim_traced ?(keep = parity_keep) (w : work) : run * trace_info =
   let tr = Trace.create ~keep () in

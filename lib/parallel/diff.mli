@@ -4,10 +4,11 @@
     pair — fully describes one workload: system size, which pids run
     scripted Byzantine adversaries (and their {!Lnd_byz.Byz_script}
     genomes), how many values the writer writes, and each correct
-    reader's explicit operation program. The same [work] is executed by
-    the deterministic effects-based simulator (driver #1, here) and by
-    the OCaml 5 domains backend (driver #2, {!Parallel}); each run folds
-    into a {!Lnd_history.History.t} and is judged by the same monitors +
+    reader's explicit operation program. Its machines are built once,
+    by {!plan}, and executed by the deterministic effects-based
+    simulator (driver #1, {!system}) and by the OCaml 5 domains backend
+    (driver #2, {!Parallel}); each run folds into a
+    {!Lnd_history.History.t} and is judged by the same monitors +
     Byzantine-linearizability checkers.
 
     The sim driver additionally renders each history to a canonical
@@ -92,6 +93,47 @@ val render_testorset :
   Lnd_history.History.t ->
   string
 
+(** {2 One plan, two executors}
+
+    A workload's machines are built once, by {!plan}, over any cell
+    type; {!system} runs them as simulator fibers and
+    [Parallel.run] on one OCaml 5 domain per process. *)
+
+type 'c plan = {
+  correct : bool array;  (** indexed by pid *)
+  daemons : (int * 'c Lnd_runtime.Plan.daemon) list;
+      (** (pid, daemon): help daemons of the correct pids in ascending
+          order ([help<pid>]), then one genome script per scripted pid
+          ([byz-script<pid>]) *)
+  clients : (int * string * 'c Lnd_runtime.Plan.job list) list;
+      (** (pid, name, jobs): the writer ([writer], test-or-set
+          [setter]) if pid 0 is correct, then one client per program
+          ([r<pid>], test-or-set [t<pid>]) *)
+  verdict : unit -> (unit, string) result;
+      (** the protocol's checker over the history so far *)
+  ops : unit -> int;  (** completed operations so far *)
+  rendered : unit -> string;
+      (** canonical history so far; an invoked, unfinished operation
+          renders as [pN:OP[inv,?)] *)
+}
+
+val plan :
+  ?byzantine:int list -> ?broken:bool -> work ->
+  (name:string -> owner:int -> ?single_reader:int ->
+   init:Lnd_support.Univ.t -> unit -> 'c) ->
+  'c plan
+(** The workload's machines over the register layout the allocator
+    builds ([Sticky]/[Verifiable.alloc_with]; test-or-set allocates
+    only the register its construction uses, and its daemons run over
+    that register's names). [byzantine] (default
+    {!byzantine_pids}) may add pids that run nothing, i.e. crash-silent
+    ones. Jobs record their history entry at invocation into their
+    process's own slot and complete it at response. [broken] (default
+    [false]) corrupts every reader's final decision, keeping its
+    register accesses and termination: a sticky or verifiable READ
+    returns a never-written value, VERIFY always accepts, TEST returns
+    the impossible bit 2. *)
+
 (** {2 Driver #1: the deterministic simulator} *)
 
 type system = {
@@ -113,11 +155,13 @@ type run = {
 
 val system :
   ?byzantine:int list -> work -> Lnd_runtime.Policy.t -> system
-(** A fresh, not yet run simulated system for the workload, with its
-    fibers spawned in a fixed order: help daemons for the correct pids,
-    the genome scripts, the writer (if correct), then one client fiber
-    per program. [byzantine] (default {!byzantine_pids}) may add pids
-    that run nothing, i.e. crash-silent ones. *)
+(** A fresh, not yet run simulated system: a new Space and Sched, then
+    the {!plan} over shared-memory cells, spawned in plan order — help
+    daemons, genome scripts (both daemon fibers named by their labels),
+    the writer, then the readers, each client one fiber running its
+    jobs under {!Lnd_runtime.Drive.job}. The order is load-bearing: it
+    fixes fiber ids, hence schedules and DPOR counts. [byzantine] as
+    for {!plan}: extra pids are crash-silent. *)
 
 val correct_failure :
   correct:bool array -> Lnd_runtime.Sched.t -> string option
@@ -166,6 +210,11 @@ type trace_info = {
 val fold_trace : work -> Lnd_obs.Trace.t -> trace_info
 (** Fold a finished trace of [work] into the spec history of its
     protocol and judge it. Call {!Lnd_obs.Trace.finish} first. *)
+
+val parity : run -> trace_info -> (unit, string) result
+(** The trace-parity judgement: the trace is well-nested and complete,
+    folds to the direct history's op count, and is accepted whenever
+    the direct history was. [Error] lists every failed check. *)
 
 val sim_traced : ?keep:(Lnd_obs.Obs.event -> bool) -> work -> run * trace_info
 (** {!sim} with an arena sink installed for the duration ([keep]

@@ -2,24 +2,18 @@
 
     Executes {!Diff.work} workloads on {!Lnd_runtime.Domains} — one
     domain per process, mutex-protected registers, real preemption — by
-    driving the very same pure cores ([Sticky_core], [Verifiable_core],
-    [Testorset_core], [Byz_script_core]) the simulator drives. The run
-    folds into a {!Lnd_history.History.t} stamped by the backend's
-    atomic clock and is judged by the spec-level checkers of {!Diff}. *)
-
-val broken_value : Lnd_support.Value.t
-(** The value the deliberately broken cores claim; never written by any
-    workload. *)
+    running the machines of {!Diff.plan}, the same plan the simulator's
+    {!Diff.system} spawns, over domain cells. The run folds into a
+    {!Lnd_history.History.t} stamped by the backend's atomic clock and
+    is judged by the spec-level checkers of {!Diff}. *)
 
 val run : ?broken:bool -> Diff.work -> Diff.run
 (** Execute a workload on the domains backend. [Diff.run.steps] counts
-    machine steps across all domains. [~broken:true] substitutes cores
-    whose final decision step is corrupted (pure and
-    termination-preserving): a sticky reader that reports
-    {!broken_value}, a verifiable reader that reports {!broken_value}
-    and a verifier that always accepts, a tester that returns the
-    impossible bit 2. The conformance suite uses it to prove the
-    checkers reject divergent behaviour. *)
+    machine steps across all domains (0 on [Error]). An [Error] run's
+    [rendered] history still shows the operations it had invoked, the
+    unfinished ones as [pN:OP[inv,?)]. [~broken:true] builds the plan
+    with corrupted readers (see {!Diff.plan}): the conformance suite
+    uses it to prove the checkers reject divergent behaviour. *)
 
 val run_traced :
   ?broken:bool ->
@@ -35,8 +29,3 @@ val run_traced :
     [keep] defaults to {!Diff.parity_keep} (operation spans only).
     Operation spans bracket the recorded [[inv, ret]] intervals, so on
     an [Ok] direct verdict the trace verdict is [Ok] too. *)
-
-val line : ?broken:bool -> Diff.work -> string
-(** [describe] + verdict + rendered history (same shape as
-    {!Diff.sim_line}); for the CLI. Not stable across runs — the domains
-    interleaving is real. *)

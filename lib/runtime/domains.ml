@@ -68,40 +68,6 @@ let tick (c : clock) : int = Atomic.fetch_and_add c 1
 
 (* ---------------- Machines ---------------- *)
 
-(* A job is one client operation: built lazily (its program may depend
-   on state left by earlier jobs, e.g. a reader's round counter), and
-   stamped with invocation/response times from the global clock. *)
-type job =
-  | Job : {
-      prog : unit -> ('reg, 'a) Machine.prog;
-      cell : 'reg -> Dcell.t;
-      span : string * string option; (* Obs span name/arg; "" = none *)
-      render : ('a -> string) option;
-      on_note : Machine.note -> unit;
-      finish : inv:int -> ret:int -> 'a -> unit;
-    }
-      -> job
-
-let job ?(span = ("", None)) ?render ?(on_note = fun _ -> ()) ~cell ~finish
-    prog =
-  Job { prog; cell; span; render; on_note; finish }
-
-(* A daemon never returns a result; [critical = false] marks machines
-   (scripted adversaries) whose failure must not fail the run, matching
-   the simulator's treatment of Byzantine fibers. *)
-type daemon =
-  | Daemon : {
-      label : string;
-      critical : bool;
-      prog : ('reg, unit) Machine.prog;
-      cell : 'reg -> Dcell.t;
-      on_note : Machine.note -> unit;
-    }
-      -> daemon
-
-let daemon ~label ?(critical = true) ?(on_note = fun _ -> ()) ~cell prog =
-  Daemon { label; critical; prog; cell; on_note }
-
 (* A machine in flight. [ospan] is the machine's ambient Obs span, saved
    across turns the way Sched saves it across fiber switches: jobs start
    under their operation span, daemons at top level, and note callbacks
@@ -123,7 +89,15 @@ type runnable =
     }
       -> runnable
 
-type proc = { pid : int; jobs : job list; daemons : daemon list }
+(* [critical] is the process's correctness: a machine of a Byzantine
+   process may fail without failing the run, matching the simulator's
+   treatment of Byzantine fibers. *)
+type proc = {
+  pid : int;
+  critical : bool;
+  jobs : Dcell.t Plan.job list;
+  daemons : Dcell.t Plan.daemon list;
+}
 
 type t = {
   clock : clock;
@@ -136,13 +110,10 @@ let default_step_budget = 50_000_000
 let create ?(step_budget = default_step_budget) () : t =
   { clock = Atomic.make 1; step_budget; procs = [] }
 
-let now (t : t) : int = Atomic.get t.clock
-let clock (t : t) : clock = t.clock
-
-let add_process (t : t) ~pid ?(daemons = []) (jobs : job list) : unit =
+let add_process (t : t) ~pid ?(correct = true) ?(daemons = []) jobs : unit =
   if List.exists (fun p -> p.pid = pid) t.procs then
     invalid_arg "Domains.add_process: duplicate pid";
-  t.procs <- { pid; jobs; daemons } :: t.procs
+  t.procs <- { pid; critical = correct; jobs; daemons } :: t.procs
 
 exception Abort of string
 
@@ -334,11 +305,11 @@ let run (t : t) : (int, string) result =
     in
     let daemons =
       List.map
-        (fun (Daemon d) ->
+        (fun (Plan.Daemon d) ->
           Run
             {
               label = d.label;
-              critical = d.critical;
+              critical = p.critical;
               st = d.prog;
               ev = Machine.Start;
               cell = d.cell;
@@ -381,9 +352,9 @@ let run (t : t) : (int, string) result =
        in
        while continue () do
          (match (!current, !jobs) with
-         | None, Job j :: rest ->
+         | None, Plan.Job j :: rest ->
              jobs := rest;
-             let name, arg = j.span in
+             let span = if Obs.enabled () then j.span else None in
              (* The operation span must BRACKET the [inv, ret] interval:
                 open before the inv tick, close after the ret tick. The
                 trace-derived precedence order is then a subset of the
@@ -391,32 +362,34 @@ let run (t : t) : (int, string) result =
                 history can never add precedence pairs the checkers
                 didn't already judge. *)
              let ospan =
-               if name <> "" && Obs.enabled () then begin
-                 Obs.set_ambient ~span:dspan ~pid:p.pid;
-                 Obs.span_open ~pid:p.pid ~name ?arg ()
-               end
-               else dspan
+               match span with
+               | Some (name, arg, _) ->
+                   Obs.set_ambient ~span:dspan ~pid:p.pid;
+                   Obs.span_open ~pid:p.pid ~name ?arg ()
+               | None -> dspan
              in
-             let inv = tick t.clock in
+             (* Recorded at invocation, so a run that fails mid-operation
+                still shows the operation, unfinished. *)
+             j.inv (tick t.clock);
              current :=
                Some
                  (Run
                     {
                       label = Printf.sprintf "p%d-op" p.pid;
-                      critical = true;
+                      critical = p.critical;
                       st = j.prog ();
                       ev = Machine.Start;
                       cell = j.cell;
-                      onote = j.on_note;
+                      onote = ignore;
                       ospan;
                       fin =
                         (fun a ->
-                          let ret = tick t.clock in
-                          j.finish ~inv ~ret a;
-                          if name <> "" && ospan <> dspan then
-                            Obs.span_close ~pid:p.pid
-                              ?result:(Option.map (fun r -> r a) j.render)
-                              ~name ospan;
+                          j.ret (tick t.clock) a;
+                          Option.iter
+                            (fun (name, _, render) ->
+                              Obs.span_close ~pid:p.pid ~result:(render a)
+                                ~name ospan)
+                            span;
                           if Atomic.fetch_and_add remaining (-1) = 1 then
                             wake ps);
                       dead = false;

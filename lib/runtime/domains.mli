@@ -26,46 +26,6 @@ module Dcell : sig
   val write : t -> Univ.t -> unit
 end
 
-type clock = int Atomic.t
-
-val tick : clock -> int
-(** Next logical timestamp (atomic fetch-and-add). *)
-
-type job
-(** One client operation: a lazily-built machine program plus a [finish]
-    callback receiving the invocation/response timestamps and the
-    result. Jobs of one process run sequentially, in order. *)
-
-val job :
-  ?span:string * string option ->
-  ?render:('a -> string) ->
-  ?on_note:(Machine.note -> unit) ->
-  cell:('reg -> Dcell.t) ->
-  finish:(inv:int -> ret:int -> 'a -> unit) ->
-  (unit -> ('reg, 'a) Machine.prog) ->
-  job
-(** [span] names the Obs operation span (name, optional argument) the
-    job runs under when a sink is installed; it is opened {e before} the
-    invocation tick and closed — with [render result] — {e after} the
-    response tick, so the traced interval brackets [[inv, ret]] and
-    trace-derived precedence is a subset of the direct history's.
-    [on_note] receives the core's protocol annotations in program order
-    (default: ignore), mirroring {!Drive.run}. *)
-
-type daemon
-(** A background machine (help loop, scripted adversary). Daemons are
-    abandoned once every job of the whole run has completed.
-    [critical:false] marks machines whose failure must not fail the run
-    (Byzantine processes, mirroring the simulator's treatment). *)
-
-val daemon :
-  label:string ->
-  ?critical:bool ->
-  ?on_note:(Machine.note -> unit) ->
-  cell:('reg -> Dcell.t) ->
-  ('reg, unit) Machine.prog ->
-  daemon
-
 type t
 
 val create : ?step_budget:int -> unit -> t
@@ -74,16 +34,21 @@ val create : ?step_budget:int -> unit -> t
     machines take no steps; a run that can no longer write at all is
     caught as a livelock by {!run}, not by the budget. *)
 
-val now : t -> int
-
-val clock : t -> clock
-(** The run's logical clock. A traced run installs
-    [Obs.install ~clock:(fun () -> tick (clock t))] so every event gets
-    a {e unique} stamp from the same fetch-and-add counter that stamps
-    operation intervals: the merged multi-domain trace is then totally
-    ordered by [at], independent of how the domains raced. *)
-
-val add_process : t -> pid:int -> ?daemons:daemon list -> job list -> unit
+val add_process :
+  t ->
+  pid:int ->
+  ?correct:bool ->
+  ?daemons:Dcell.t Plan.daemon list ->
+  Dcell.t Plan.job list ->
+  unit
+(** Register process [pid]'s daemons and its jobs (run in order, each
+    told its invocation stamp before it starts and its response stamp
+    when it returns). The job's span, if any, is opened {e before} the
+    invocation tick and closed {e after} the response tick, so the
+    traced interval brackets [[inv, ret]] and trace-derived precedence
+    is a subset of the direct history's. [correct] (default [true])
+    makes the process's machines critical: a machine of a
+    [~correct:false] process may fail without failing the run. *)
 
 val run : t -> (int, string) result
 (** Spawns one domain per registered process, joins them all. [Ok steps]
@@ -96,4 +61,7 @@ val run : t -> (int, string) result
       current write epoch, so nothing can ever write again ("livelock at
       write epoch <e>: every machine parked (p1: p1-op, help1; p2:
       help2)"), reported as soon as the last domain blocks;
-    - jobs were left incomplete. *)
+    - jobs were left incomplete.
+
+    Jobs invoked but unfinished on [Error] have seen [inv] and not
+    [ret]. *)

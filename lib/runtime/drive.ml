@@ -35,6 +35,26 @@ let run ?(on_note : Machine.note -> unit = fun _ -> ())
   done;
   Option.get !result
 
+(* One plan job, run to completion in the calling fiber: stamped by the
+   scheduler's clock, its span (if any) inside the [inv, ret] interval,
+   as the register modules' own recorded operations do. *)
+let job (Plan.Job j) : unit =
+  j.inv (Sched.tick ());
+  let span = if Lnd_obs.Obs.enabled () then j.span else None in
+  let sp =
+    match span with
+    | Some (name, arg, _) -> Lnd_obs.Obs.span_open ~name ?arg ()
+    | None -> 0
+  in
+  let a = run ~cell:j.cell (j.prog ()) in
+  Option.iter
+    (fun (name, _, render) ->
+      Lnd_obs.Obs.span_close ~result:(render a) ~name sp)
+    span;
+  j.ret (Sched.tick ()) a
+
+let daemon (Plan.Daemon d) : unit = run ~on_note:d.on_note ~cell:d.cell d.prog
+
 (* One HELP span per round actually serving askers, so a trace shows
    helping work without one span per idle poll; the cores mark those
    rounds with Serving/Served notes. One closure per daemon, since the

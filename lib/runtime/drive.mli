@@ -17,6 +17,15 @@ val run :
     annotations in program order (default: ignore); protocol drivers map
     them to Obs spans. *)
 
+val job : Cell.t Plan.job -> unit
+(** Run one plan job to completion in the calling fiber: invocation and
+    response stamped by {!Sched.tick}, the job's Obs span (when a sink
+    is installed) opened after the invocation and closed before the
+    response. *)
+
+val daemon : Cell.t Plan.daemon -> unit
+(** Run a plan daemon in the calling fiber; it never returns. *)
+
 val help_spans : unit -> Machine.note -> unit
 (** A fresh [on_note] handler for one help daemon, on either driver:
     one Obs [HELP] span per round that actually serves askers, opened on

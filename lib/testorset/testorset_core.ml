@@ -7,10 +7,14 @@
    - From a verifiable register R (v0 = 0): SET = WRITE(1); SIGN(1);
      TEST = VERIFY(1), returning 1 iff the verify returns true.
 
-   The sim backend (Testorset) reaches these same cores through the
-   sticky/verifiable sim drivers, which additionally emit the historical
-   Obs spans; the domains backend (Lnd_parallel) drives the composed
-   programs below directly. Both execute identical access sequences. *)
+   Help() is the underlying register's own (Sticky_core/Verifiable_core
+   help_prog over that register's names): a test-or-set adds no helping.
+   Both drivers of the differential suite run SET and TEST as the
+   composed programs below, from the one plan Lnd_parallel.Diff builds;
+   the effects-era Testorset facade reaches the same cores through the
+   sticky/verifiable sim drivers, emitting their nested
+   READ/VERIFY/WRITE/SIGN spans too. All execute identical access
+   sequences. *)
 
 open Lnd_support
 open Machine
@@ -41,9 +45,6 @@ let[@lnd.pure] test_sticky_prog ~n ~(q : Quorum.t) ~pid ~ck :
   in
   ret (bit, ck)
 
-let[@lnd.pure] help_sticky_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog =
-  map_reg sreg (S_core.help_prog ~n ~q ~pid)
-
 (* ---------------- From a verifiable register ---------------- *)
 
 (* SET = WRITE(1); SIGN(1). Returns (signed, the setter's updated local
@@ -59,7 +60,3 @@ let[@lnd.pure] test_verifiable_prog ~n ~(q : Quorum.t) ~pid ~ck :
     (reg, int * int) prog =
   let* ok, ck = map_reg vreg (V_core.verify_prog ~n ~q ~pid ~ck one) in
   ret ((if ok then 1 else 0), ck)
-
-let[@lnd.pure] help_verifiable_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog
-    =
-  map_reg vreg (V_core.help_prog ~n ~q ~pid)

@@ -1,9 +1,11 @@
 (** Test-or-set (Definition 20) as a pure state machine: both
     Observation 25 constructions, composed from {!Lnd_sticky.Sticky_core}
     / {!Lnd_verifiable.Verifiable_core} under one register namespace via
-    [Machine.map_reg]. The sim backend ({!Testorset}) reaches the same
-    cores through the sticky/verifiable sim drivers; the domains backend
-    ([Lnd_parallel]) drives these composed programs directly. *)
+    [Machine.map_reg]. Help() is the underlying register's own. Both
+    drivers of the differential suite run these SET/TEST programs from
+    the one plan [Lnd_parallel.Diff.plan] builds; the {!Testorset}
+    facade reaches the same cores through the sticky/verifiable sim
+    drivers. *)
 
 open Lnd_support
 
@@ -26,9 +28,6 @@ val test_sticky_prog :
 (** Returns (bit, new round counter); the driver owns the tester's
     persistent [ck]. *)
 
-val help_sticky_prog :
-  n:int -> q:Quorum.t -> pid:int -> (reg, unit) Machine.prog
-
 (** {2 From a verifiable register} *)
 
 val set_verifiable_prog :
@@ -38,6 +37,3 @@ val set_verifiable_prog :
 
 val test_verifiable_prog :
   n:int -> q:Quorum.t -> pid:int -> ck:int -> (reg, int * int) Machine.prog
-
-val help_verifiable_prog :
-  n:int -> q:Quorum.t -> pid:int -> (reg, unit) Machine.prog

@@ -47,31 +47,15 @@ let check_backend ~backend w = function
         (Diff.describe w) m
 
 (* One traced execution must tell the same story twice: the direct
-   history (recorded by the driver) and the trace-derived history
-   (operation spans folded back through Trace_replay) are judged by the
-   same checkers, and op spans bracket the [inv, ret] intervals, so a
-   direct Ok forces a trace Ok. The trace itself must be complete (no
-   arena drops) and well-nested. *)
+   history (recorded by the driver) must be accepted, and the
+   trace-derived one must agree with it (Diff.parity). *)
 let check_parity ~backend w (r : Diff.run) (ti : Diff.trace_info) =
   check_backend ~backend w r.Diff.verdict;
-  (match ti.Diff.t_verdict with
+  match Diff.parity r ti with
   | Ok () -> ()
   | Error m ->
-      Alcotest.failf
-        "%s trace-derived history rejected for [%s] (direct was accepted): %s"
-        backend (Diff.describe w) m);
-  (match ti.Diff.t_nesting with
-  | None -> ()
-  | Some m ->
-      Alcotest.failf "%s trace ill-nested for [%s]: %s" backend
-        (Diff.describe w) m);
-  if ti.Diff.t_dropped > 0 then
-    Alcotest.failf "%s trace dropped %d events for [%s]" backend
-      ti.Diff.t_dropped (Diff.describe w);
-  if ti.Diff.t_ops <> r.Diff.ops then
-    Alcotest.failf
-      "%s trace-derived history has %d ops, direct has %d, for [%s]" backend
-      ti.Diff.t_ops r.Diff.ops (Diff.describe w)
+      Alcotest.failf "%s trace parity failed for [%s]: %s" backend
+        (Diff.describe w) m
 
 (* Aggregate machine steps per completed operation the domains driver
    may spend over a sweep. Parked machines take no steps, so a driver

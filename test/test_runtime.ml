@@ -281,8 +281,8 @@ let rec poll_prog () : (unit, unit) Machine.prog =
 let set_prog : (unit, unit) Machine.prog =
   Machine.write () (Univ.inj Univ.int 1)
 
-let unit_job x prog =
-  Domains.job ~cell:(fun () -> x) ~finish:(fun ~inv:_ ~ret:_ () -> ()) prog
+let unit_job ?(inv = ignore) ?(ret = fun _ () -> ()) x prog =
+  Plan.Job { prog; cell = (fun () -> x); span = None; inv; ret }
 
 let test_domains_wake () =
   let x = flag () in
@@ -313,7 +313,14 @@ let test_domains_handshake () =
       await r
   in
   let job prog =
-    Domains.job ~cell ~finish:(fun ~inv:_ ~ret:_ () -> ()) (fun () -> prog)
+    Plan.Job
+      {
+        prog = (fun () -> prog);
+        cell;
+        span = None;
+        inv = ignore;
+        ret = (fun _ () -> ());
+      }
   in
   let open Machine in
   let d = Domains.create () in
@@ -341,11 +348,24 @@ let test_domains_livelock () =
   Domains.add_process d ~pid:0
     ~daemons:
       [
-        Domains.daemon ~label:"help0" ~cell:cells
-          (Lnd_sticky.Sticky_core.help_prog ~n ~q ~pid:0);
+        Plan.Daemon
+          {
+            label = "help0";
+            prog = Lnd_sticky.Sticky_core.help_prog ~n ~q ~pid:0;
+            cell = cells;
+            on_note = ignore;
+          };
       ]
     [];
-  Domains.add_process d ~pid:1 [ unit_job (flag ()) poll_prog ];
+  (* the parked job was invoked, and must stay visibly unfinished *)
+  let invoked = ref None and responded = ref false in
+  Domains.add_process d ~pid:1
+    [
+      unit_job
+        ~inv:(fun t -> invoked := Some t)
+        ~ret:(fun _ () -> responded := true)
+        (flag ()) poll_prog;
+    ];
   let wall () =
     (Unix.gettimeofday ()
     [@lnd.allow
@@ -364,6 +384,8 @@ let test_domains_livelock () =
         "livelock at write epoch 0: every machine parked (p0: help0; p1: \
          p1-op)"
         m);
+  Alcotest.(check bool) "invocation recorded" true (Option.is_some !invoked);
+  Alcotest.(check bool) "response never recorded" false !responded;
   if dt >= 1.0 then Alcotest.failf "livelock took %.2fs to report" dt
 
 let test_domains_budget () =
@@ -393,9 +415,12 @@ let test_domains_noncritical_daemon () =
   in
   Domains.add_process d ~pid:0 [ unit_job x (fun () -> set_prog) ];
   Domains.add_process d ~pid:1 [ unit_job x poll_prog ];
-  Domains.add_process d ~pid:2
+  Domains.add_process d ~pid:2 ~correct:false
     ~daemons:
-      [ Domains.daemon ~label:"byz2" ~critical:false ~cell:(fun () -> x) boom ]
+      [
+        Plan.Daemon
+          { label = "byz2"; prog = boom; cell = (fun () -> x); on_note = ignore };
+      ]
     [];
   match Domains.run d with
   | Ok _ -> ()
